@@ -7,8 +7,9 @@ replication r is returned; below that the transform is in its linear regime
 and t * SUM is the better answer.
 
 Pipelines are single-writer; ``merge`` is pure and returns a new pipeline.
-Batch ingestion is bit-compatible with element-at-a-time ingestion given the
-same ordinals.
+Given the same ordinals, batch ingestion leaves point and full-range
+pipelines byte-identical to element-at-a-time ingestion, and combination
+pipelines with the same sidelined keys and estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from math import ceil, inf
-from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +40,7 @@ _BLOB_LEN = struct.Struct("<I")
 # Seed perturbation for the negative-component pipeline of a signed estimate,
 # so the two measurements use independent draws.
 _MINUS_SEED_FLIP = 0x5851F42D4C957F2D
+_LOW16 = np.uint64(0xFFFF)
 
 
 def _check_field(name: str, a, b):
@@ -55,6 +56,34 @@ def _read_blob(data: bytes, off: int) -> tuple[bytes, int]:
     (n,) = _BLOB_LEN.unpack_from(data, off)
     off += _BLOB_LEN.size
     return data[off : off + n], off + n
+
+
+def _lookup(pool: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(found, index): whether each key is in the small array ``pool`` and
+    where. A table over the low 16 bits rules out most keys in one gather,
+    so only the few that share low bits with a pool key are searched."""
+    found = np.zeros(len(keys), dtype=bool)
+    index = np.zeros(len(keys), dtype=np.intp)
+    if pool.size == 0:
+        return found, index
+    table = np.zeros(1 << 16, dtype=bool)
+    table[(pool & _LOW16).astype(np.intp)] = True
+    maybe = np.flatnonzero(table[(keys & _LOW16).astype(np.intp)])
+    order = np.argsort(pool)
+    at = order[np.minimum(np.searchsorted(pool[order], keys[maybe]), len(pool) - 1)]
+    found[maybe] = pool[at] == keys[maybe]
+    index[maybe] = at
+    return found, index
+
+
+def _smallest(keys: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m smallest entries in (y, key) order."""
+    if len(ys) > m:
+        cut = np.partition(ys, m - 1)[m - 1]
+        idx = np.flatnonzero(ys <= cut)
+    else:
+        idx = np.arange(len(ys))
+    return idx[np.lexsort((keys[idx], ys[idx]))][:m]
 
 
 class _PipelineBase:
@@ -249,11 +278,6 @@ class CombinationPipeline(_PipelineBase):
             self._absorb(out.outkey, out.value)
         self.sum_counter.update(e.value)
 
-    def ingest_outputs(self, outputs: Iterable) -> None:
-        """Feed already-mapped output elements carrying raw draws."""
-        for out in outputs:
-            self._absorb(int(out.outkey), float(out.value))
-
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
@@ -262,29 +286,29 @@ class CombinationPipeline(_PipelineBase):
         self.sum_counter.update_batch(values)
 
     def _absorb_batch(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
+        """Sideline the ell smallest (draw, outkey) of the sidelined keys and
+        the given distinct outkeys, each key at its smallest draw, and feed
+        every other key to the max-distinct sketch at its draw's tail value."""
         if len(outkeys) == 0:
             return
-        uk, inv = np.unique(outkeys, return_inverse=True)
-        gy = np.full(len(uk), inf)
-        np.minimum.at(gy, inv, ys)
-        merged = dict(self.sidelined)
-        for o, y in zip(uk, gy):
-            okey, yv = int(o), float(y)
-            if merged.get(okey, inf) > yv:
-                merged[okey] = yv
-        if len(merged) <= self.ell:
-            self.sidelined = merged
-            self._theta = None
-            return
-        items = sorted((y, o) for o, y in merged.items())
-        self.sidelined = {o: y for y, o in items[: self.ell]}
+        side_keys = np.fromiter(self.sidelined, dtype=np.uint64, count=len(self.sidelined))
+        side_ys = np.fromiter(self.sidelined.values(), dtype=np.float64, count=len(self.sidelined))
+        hit, pos = _lookup(side_keys, outkeys)
+        if hit.any():
+            np.minimum.at(side_ys, pos[hit], ys[hit])
+            outkeys, ys = outkeys[~hit], ys[~hit]
+        keys, draws = np.concatenate([side_keys, outkeys]), np.concatenate([side_ys, ys])
+        chosen = _smallest(keys, draws, self.ell)
+        self.sidelined = dict(zip(keys[chosen].tolist(), draws[chosen].tolist()))
         self._theta = None
-        evicted = items[self.ell :]
-        ev_keys = np.array([o for _, o in evicted], dtype=np.uint64)
-        ev_vals = np.asarray(self.a.tail(np.array([y for y, _ in evicted], dtype=np.float64)), dtype=np.float64)
-        keep = ev_vals > 0.0
+        if len(chosen) == len(keys):
+            return
+        rest = np.ones(len(keys), dtype=bool)
+        rest[chosen] = False
+        vals = np.asarray(self.a.tail(draws[rest]), dtype=np.float64)
+        keep = vals > 0.0
         if keep.any():
-            self.max_sketch.update_batch(ev_keys[keep], ev_vals[keep])
+            self.max_sketch.update_batch(keys[rest][keep], vals[keep])
 
     def merge(self, other: "CombinationPipeline") -> "CombinationPipeline":
         _check_field("type", type(self).__name__, type(other).__name__)
@@ -297,14 +321,11 @@ class CombinationPipeline(_PipelineBase):
         out.max_sketch = self.max_sketch.merge(other.max_sketch)
         out.sum_counter = self.sum_counter.merge(other.sum_counter)
         out.count = self.count + other.count
-        merged = dict(self.sidelined)
-        for okey, y in other.sidelined.items():
-            if merged.get(okey, inf) > y:
-                merged[okey] = y
-        items = sorted((y, o) for o, y in merged.items())
-        out.sidelined = {o: y for y, o in items[: out.ell]}
-        for y, okey in items[out.ell :]:
-            out._feed(okey, y)
+        out.sidelined = dict(self.sidelined)
+        out._absorb_batch(
+            np.fromiter(other.sidelined, dtype=np.uint64, count=len(other.sidelined)),
+            np.fromiter(other.sidelined.values(), dtype=np.float64, count=len(other.sidelined)),
+        )
         return out
 
     def tau(self) -> float:

@@ -7,7 +7,11 @@ draw so any threshold can be applied later).
 
 Every replica draw is keyed by (seed, element ordinal, replica index), so a
 mapping is a pure function of the element, its ordinal and the config. The
-batch entry points produce bit-identical output to the per-element ones.
+batch point mapping emits exactly the outkeys of the per-element one. The
+batch full-range and combination mappings emit one output per distinct
+(key, replica) of the call, carrying the smallest of that pair's draws: the
+threshold and max-distinct statistics of the output elements depend on each
+outkey's smallest draw only, so this keeps every statistic the sketches see.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from .core import (
     Element,
+    ElementValidationError,
     RandomnessSource,
     exp_draw,
     hash_key,
@@ -41,8 +46,12 @@ __all__ = [
     "choose_replication",
 ]
 
-# Cap on draw-matrix cells per vectorized chunk (elements x replicas).
-_CHUNK_CELLS = 1 << 22
+# Cap on draw-matrix cells per vectorized chunk (elements x replicas): half a
+# megabyte per float64 matrix, so a chunk's temporaries stay in cache.
+_CHUNK_CELLS = 1 << 16
+# A draw -ln(u)/value stays finite for every u the source yields (-ln(u) is
+# below 38) once value is at least this; smaller values are checked draw by draw.
+_MIN_SAFE_VALUE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,10 @@ class MapperConfig:
 
 def _validated(e: Element) -> Element:
     return e if isinstance(e, Element) else Element(*e)
+
+
+def _overflow(value: float) -> ElementValidationError:
+    return ElementValidationError(f"element value {value!r} is too small: its exponential draws overflow")
 
 
 def map_point(e: Element, cfg: MapperConfig, ordinal: int = 0, key64: int | None = None) -> list[OutputElement]:
@@ -140,6 +153,8 @@ def map_combination(e: Element, cfg: MapperConfig, ordinal: int = 0, key64: int 
     out = []
     for i in range(cfg.r):
         y = exp_draw(src.uniform(ordinal, i), e.value)
+        if y == inf:
+            raise _overflow(e.value)
         v = float(cfg.a.tail(max(cfg.tau, y)))
         if v > 0.0:
             out.append(OutputElement(outkey_for(k64, i), v))
@@ -151,10 +166,10 @@ def map_full_range(e: Element, cfg: MapperConfig, ordinal: int = 0, key64: int |
     e = _validated(e)
     k64 = hash_key(e.key) if key64 is None else key64
     src = cfg.source()
-    return [
-        OutputElement(outkey_for(k64, i), exp_draw(src.uniform(ordinal, i), e.value))
-        for i in range(cfg.r)
-    ]
+    ys = [exp_draw(src.uniform(ordinal, i), e.value) for i in range(cfg.r)]
+    if inf in ys:
+        raise _overflow(e.value)
+    return [OutputElement(outkey_for(k64, i), y) for i, y in enumerate(ys)]
 
 
 def _chunks(n: int, r: int) -> Iterable[tuple[int, int]]:
@@ -194,19 +209,46 @@ def full_range_batch(
     cfg: MapperConfig,
     ordinals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized full-range mapping; returns (outkeys, draws), r per element."""
+    """Vectorized full-range mapping reduced to one output per distinct (key, replica).
+
+    Returns (outkeys, draws): for each distinct key64 of the call (ascending)
+    and each replica i, the outkey of (key, i) and the smallest replica-i
+    draw among the key's elements, where :func:`map_full_range` emits every
+    draw of every element. Like :class:`Element`, it rejects values that are
+    not positive and finite, and like :func:`map_full_range` it rejects
+    values so small that a draw overflows, with :class:`ElementValidationError`.
+    """
     src = cfg.source()
+    key64s = np.asarray(key64s, dtype=np.uint64)
     values = np.asarray(values, dtype=np.float64)
     ordinals = np.asarray(ordinals, dtype=np.uint64)
-    keys_out, ys_out = [], []
-    for lo, hi in _chunks(len(values), cfg.r):
-        u = src.uniform_block(ordinals[lo:hi], cfg.r)
-        y = -np.log(u) / values[lo:hi, None]
-        keys_out.append(outkey_block(key64s[lo:hi], cfg.r).ravel())
-        ys_out.append(y.ravel())
-    if not keys_out:
+    if len(values) == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
-    return np.concatenate(keys_out), np.concatenate(ys_out)
+    if not np.all((values > 0.0) & (values < inf)):
+        raise ElementValidationError("element values must be positive finite numbers")
+    # Sorting the rows by key makes each key's elements one run of rows, and
+    # a chunk's runs can be reduced with one minimum.reduceat; a run cut by a
+    # chunk boundary is folded into the same output row from both sides.
+    order = np.argsort(key64s)
+    skeys, svalues, sordinals = key64s[order], values[order], ordinals[order]
+    starts = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
+    mins = np.full((len(starts), cfg.r), inf)
+    for lo, hi in _chunks(len(values), cfg.r):
+        # log(u)/-v is -ln(u)/v bit for bit, computed in place; overflow is
+        # checked below
+        y = src.uniform_block(sordinals[lo:hi], cfg.r)
+        np.log(y, out=y)
+        with np.errstate(over="ignore"):
+            y /= -svalues[lo:hi, None]
+        tiny = np.flatnonzero(svalues[lo:hi] < _MIN_SAFE_VALUE)
+        bad = tiny[np.isinf(y[tiny]).any(axis=1)]
+        if bad.size:
+            raise _overflow(float(svalues[lo + bad[0]]))
+        g0 = int(np.searchsorted(starts, lo, side="right")) - 1
+        g1 = int(np.searchsorted(starts, hi, side="left"))
+        cuts = np.r_[lo, starts[g0 + 1 : g1]] - lo
+        np.minimum(mins[g0:g1], np.minimum.reduceat(y, cuts, axis=0), out=mins[g0:g1])
+    return outkey_block(skeys[starts], cfg.r).ravel(), mins.ravel()
 
 
 def combination_batch(
@@ -215,7 +257,13 @@ def combination_batch(
     cfg: MapperConfig,
     ordinals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized combination mapping; returns (outkeys, tail values > 0)."""
+    """Vectorized combination mapping; returns (outkeys, tail values > 0).
+
+    Built on :func:`full_range_batch`, so it emits one output per distinct
+    (key, replica) of the call, valued at the tail integral of that pair's
+    smallest draw: the largest value :func:`map_combination` gives the pair,
+    since tail integrals do not increase.
+    """
     if cfg.a is None:
         raise ValueError("combination mapping requires a coefficient function")
     outkeys, ys = full_range_batch(key64s, values, cfg, ordinals)

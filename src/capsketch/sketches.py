@@ -78,6 +78,68 @@ def _unpack_header(data: bytes, expect_tag: int | None = None):
     return tag, k, seed, count
 
 
+def _rank_cut(keys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the entries that can hold a place among the k smallest-ranked
+    keys, where a key may repeat and ranks at its smallest entry.
+
+    The 2k smallest entries usually name k distinct keys; the k-th of them
+    in rank order bounds the k-th smallest key rank, and nothing above it
+    matters. Otherwise every entry is kept.
+    """
+    if len(ranks) <= 2 * k:
+        return np.ones(len(ranks), dtype=bool)
+    low = np.argpartition(ranks, 2 * k - 1)[: 2 * k]
+    low = low[np.argsort(ranks[low])]
+    _, first = np.unique(keys[low], return_index=True)
+    if len(first) < k:
+        return np.ones(len(ranks), dtype=bool)
+    return ranks <= ranks[low[np.sort(first)[k - 1]]]
+
+
+def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the entries an all-threshold sketch of size k retains.
+
+    Entries are taken in (y, rank, outkey) order; one is retained when its
+    (rank, outkey) is below the k-th smallest of those retained before it.
+    An outkey may repeat: its first entry has its smallest y, and a later
+    one is never retained. The k-th smallest only falls, so the walk goes in
+    blocks of doubling width and compares each block against the k-th
+    smallest at its start in one vector operation; the few entries below it
+    are then taken one by one.
+    """
+    order = np.argsort(ys)
+    s_ys = ys[order]
+    if (s_ys[1:] == s_ys[:-1]).any():  # tied values: order them by (rank, outkey)
+        order = np.lexsort((okeys, ranks, ys))
+    s_okeys, s_ranks = okeys[order], ranks[order]
+    heap: list[tuple[float, int]] = []  # max-heap of the k smallest (rank, okey), negated
+    kept: list[int] = []  # positions in sorted order
+    seen: set[int] = set()
+    lo, width = 0, k
+    while lo < len(order):
+        hi = min(len(order), lo + width)
+        if len(heap) < k:
+            # each outkey's first entry only, so repeats cannot stall the walk
+            cand = lo + np.sort(np.unique(s_okeys[lo:hi], return_index=True)[1])
+        else:
+            top_rank, top_okey = -heap[0][0], -heap[0][1]
+            r, o = s_ranks[lo:hi], s_okeys[lo:hi]
+            cand = lo + np.flatnonzero((r < top_rank) | ((r == top_rank) & (o < np.uint64(top_okey))))
+        for i, rank, okey in zip(cand.tolist(), s_ranks[cand].tolist(), s_okeys[cand].tolist()):
+            if okey in seen:
+                continue
+            if len(heap) < k:
+                heapq.heappush(heap, (-rank, -okey))
+            elif (rank, okey) < (-heap[0][0], -heap[0][1]):
+                heapq.heapreplace(heap, (-rank, -okey))
+            else:
+                continue
+            kept.append(i)
+            seen.add(okey)
+        lo, width = hi, 2 * width
+    return order[np.asarray(kept, dtype=np.intp)]
+
+
 class DistinctCounter:
     """Bottom-k distinct counter over outkeys.
 
@@ -235,21 +297,24 @@ class MaxDistinctSketch:
         values = np.asarray(values, dtype=np.float64)
         if outkeys.size == 0:
             return
-        uk, inv = np.unique(outkeys, return_inverse=True)
-        gm = np.full(len(uk), -inf)
-        np.maximum.at(gm, inv, values)
-        merged: dict[int, float] = {int(o): float(m) for o, m in zip(uk, gm)}
-        for o, (m, _) in self._entries.items():
-            if merged.get(o, -inf) < m:
-                merged[o] = m
-        keys = np.fromiter(merged, dtype=np.uint64, count=len(merged))
-        ms = np.fromiter(merged.values(), dtype=np.float64, count=len(merged))
-        bases = _base_ranks(keys, self.seed)
-        ranks = bases / ms
+        if not np.all((values > 0.0) & (values < inf)):
+            raise ValueError("max-distinct values must be positive and finite")
+        n = len(self._entries)
+        stored = np.array(list(self._entries.values()), dtype=np.float64).reshape(n, 2)
+        keys = np.concatenate([np.fromiter(self._entries, dtype=np.uint64, count=n), outkeys])
+        ms = np.concatenate([stored[:, 0], values])
+        bases = np.concatenate([stored[:, 1], _base_ranks(outkeys, self.seed)])
+        keep = _rank_cut(keys, bases / ms, self.k)
+        keys, ms, bases = keys[keep], ms[keep], bases[keep]
+        # each key once, at its largest value: first in (key, -value) order
+        order = np.lexsort((-ms, keys))
+        keys, ms, bases = keys[order], ms[order], bases[order]
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        keys, ms, bases = keys[first], ms[first], bases[first]
         if len(keys) > self.k:
-            order = np.lexsort((keys, ranks))[: self.k]
+            order = np.lexsort((keys, bases / ms))[: self.k]
             keys, ms, bases = keys[order], ms[order], bases[order]
-        self._entries = {int(o): (float(m), float(b)) for o, m, b in zip(keys, ms, bases)}
+        self._entries = dict(zip(keys.tolist(), zip(ms.tolist(), bases.tolist())))
         self._max = None
         if len(self._entries) == self.k:
             self._recompute_max()
@@ -350,39 +415,34 @@ class AllThresholdSketch:
         ys = np.asarray(ys, dtype=np.float64)
         if outkeys.size == 0:
             return
-        uk, inv = np.unique(outkeys, return_inverse=True)
-        gy = np.full(len(uk), inf)
-        np.minimum.at(gy, inv, ys)
-        bases = _base_ranks(uk, self.seed)
-        for o, y, b in zip(uk, gy, bases):
-            okey = int(o)
-            cur = self._entries.get(okey)
-            if cur is None:
-                self._entries[okey] = (float(y), float(b))
-            elif y < cur[0]:
-                self._entries[okey] = (float(y), cur[1])
-        self._dirty = True
+        if not np.all((ys >= 0.0) & (ys < inf)):
+            raise ValueError("threshold values must be finite and >= 0")
+        okeys, stored_ys, ranks = self._arrays()
+        self._retain(
+            np.concatenate([okeys, outkeys]),
+            np.concatenate([stored_ys, ys]),
+            np.concatenate([ranks, _base_ranks(outkeys, self.seed)]),
+        )
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stored (outkeys, minimum values, base ranks) as arrays."""
+        n = len(self._entries)
+        okeys = np.fromiter(self._entries, dtype=np.uint64, count=n)
+        yb = np.array(list(self._entries.values()), dtype=np.float64).reshape(n, 2)
+        return okeys, yb[:, 0], yb[:, 1]
+
+    def _retain(self, okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray) -> None:
+        """Replace the entries by those the retention rule keeps among the
+        given ones; an outkey may repeat and counts at its smallest value."""
+        keep = _prefix_bottom_k(okeys, ys, ranks, self.k)
+        self._entries = dict(zip(okeys[keep].tolist(), zip(ys[keep].tolist(), ranks[keep].tolist())))
+        self._dirty = False
         self._profile = None
-        self._prune()
+        self._trigger = max(4 * self.k, 2 * len(self._entries))
 
     def _prune(self) -> None:
-        if not self._dirty:
-            return
-        items = sorted((y, b, o) for o, (y, b) in self._entries.items())
-        kept: dict[int, tuple[float, float]] = {}
-        heap: list[tuple[float, int]] = []  # max-heap of k smallest (rank, okey), negated
-        for y, rank, okey in items:
-            if len(heap) < self.k:
-                kept[okey] = (y, rank)
-                heapq.heappush(heap, (-rank, -okey))
-            else:
-                top_rank, top_okey = -heap[0][0], -heap[0][1]
-                if (rank, okey) < (top_rank, top_okey):
-                    kept[okey] = (y, rank)
-                    heapq.heapreplace(heap, (-rank, -okey))
-        self._entries = kept
-        self._dirty = False
-        self._trigger = max(4 * self.k, 2 * len(kept))
+        if self._dirty:
+            self._retain(*self._arrays())
 
     def _build_profile(self):
         self._prune()
@@ -441,17 +501,8 @@ class AllThresholdSketch:
 
     def merge(self, other: "AllThresholdSketch") -> "AllThresholdSketch":
         _check_compatible(self, other)
-        self._prune()
-        other._prune()
         out = AllThresholdSketch(self.k, self.seed)
-        combined = dict(self._entries)
-        for o, (y, b) in other._entries.items():
-            cur = combined.get(o)
-            if cur is None or y < cur[0]:
-                combined[o] = (y, b)
-        out._entries = combined
-        out._dirty = True
-        out._prune()
+        out._retain(*(np.concatenate(parts) for parts in zip(self._arrays(), other._arrays())))
         return out
 
     def _canonical(self) -> list[tuple[float, int, float]]:

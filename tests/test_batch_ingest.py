@@ -1,0 +1,216 @@
+"""Batch ingestion over repeated keys against element-at-a-time ingestion,
+and the input checks the two paths share."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capsketch import (
+    AllThresholdSketch,
+    CombinationPipeline,
+    Element,
+    ElementValidationError,
+    FullRangePipeline,
+    MaxDistinctSketch,
+    SignedCombinationPipeline,
+)
+from capsketch import mappers
+from capsketch.cli import _signed_function, main
+from capsketch.core import hash_key
+from capsketch.estimators import _lookup, _smallest
+from capsketch.mappers import MapperConfig, full_range_batch, map_full_range
+from capsketch.oracle import zipf_ranks
+from capsketch.transforms import inverse_transform, parse_statistic
+
+
+def zipf_elements(n, alpha, seed):
+    """Elements with Zipf-skewed keys (many repeats) and float values."""
+    ranks = zipf_ranks(n, alpha, n_keys=5_000, seed=seed)
+    values = np.random.default_rng(seed).uniform(0.25, 4.0, n)
+    return [Element(b"k%d" % r, float(v)) for r, v in zip(ranks.tolist(), values.tolist())]
+
+
+def ingest_both(make, els, sizes):
+    """(per-element pipeline, batch pipeline fed in calls of the given sizes)."""
+    single, batched = make(), make()
+    for e in els:
+        single.ingest(e)
+    k64 = np.array([hash_key(e.key) for e in els], dtype=np.uint64)
+    vals = np.array([e.value for e in els])
+    bounds = np.cumsum([0, *sizes])
+    assert bounds[-1] == len(els)
+    for lo, hi in zip(bounds, bounds[1:]):
+        batched.ingest_batch(k64[lo:hi], vals[lo:hi])
+    return single, batched
+
+
+# Calls of uneven sizes; with 61 cells per chunk at r=7, each call spans
+# several mapper chunks, and runs of one key's rows straddle chunk edges.
+SIZES = [1, 37, 250, 112]
+STREAMS = [(400, 1.5, 3), (400, 2.5, 4)]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(mappers, "_CHUNK_CELLS", 61)
+
+
+@pytest.mark.parametrize("n,alpha,seed", STREAMS)
+def test_full_range_batch_repeated_keys_bytes(small_chunks, n, alpha, seed):
+    els = zipf_elements(n, alpha, seed)
+    single, batched = ingest_both(lambda: FullRangePipeline(r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
+    assert batched.to_bytes() == single.to_bytes()
+
+
+@pytest.mark.parametrize("n,alpha,seed", STREAMS)
+def test_combination_batch_repeated_keys(small_chunks, n, alpha, seed):
+    els = zipf_elements(n, alpha, seed)
+    a = inverse_transform(parse_statistic("sqrt"))
+    single, batched = ingest_both(lambda: CombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
+    assert batched.sidelined == single.sidelined
+    assert batched.estimate() == single.estimate()
+
+
+@pytest.mark.parametrize("n,alpha,seed", STREAMS)
+def test_signed_batch_repeated_keys(small_chunks, n, alpha, seed):
+    els = zipf_elements(n, alpha, seed)
+    a = _signed_function(parse_statistic("capT=5"))
+    single, batched = ingest_both(lambda: SignedCombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
+    for part in ("plus", "minus"):
+        assert getattr(batched, part).sidelined == getattr(single, part).sidelined
+    assert batched.estimate() == single.estimate()
+
+
+def test_full_range_batch_one_minimum_per_key_replica(small_chunks):
+    els = zipf_elements(300, 2.0, 5)
+    cfg = MapperConfig(r=5, seed=9)
+    expected: dict[int, float] = {}
+    for i, e in enumerate(els):
+        for out in map_full_range(e, cfg, ordinal=i):
+            expected[out.outkey] = min(out.value, expected.get(out.outkey, np.inf))
+    k64 = np.array([hash_key(e.key) for e in els], dtype=np.uint64)
+    vals = np.array([e.value for e in els])
+    okeys, ys = full_range_batch(k64, vals, cfg, np.arange(len(els), dtype=np.uint64))
+    assert len(okeys) == len(set(okeys.tolist())) == len(expected)
+    assert dict(zip(okeys.tolist(), ys.tolist())) == expected
+
+
+# ---------------------------------------------------------------------------
+# sketches: batch updates equal scalar updates, ties and repeats included
+
+entry_lists = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
+    min_size=1,
+    max_size=120,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=entry_lists, k=st.integers(1, 6), cut=st.integers(0, 120))
+def test_all_threshold_batch_equals_scalar_with_ties(entries, k, cut):
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    ys = np.array([y for _, y in entries])
+    scalar, batched = AllThresholdSketch(k, 3), AllThresholdSketch(k, 3)
+    for o, y in entries:
+        scalar.update(o, y)
+    batched.update_batch(keys[:cut], ys[:cut])
+    batched.update_batch(keys[cut:], ys[cut:])
+    assert batched.to_bytes() == scalar.to_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=entry_lists, k=st.integers(1, 6), cut=st.integers(0, 120))
+def test_max_distinct_batch_equals_scalar(entries, k, cut):
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    vals = np.array([y + 0.25 for _, y in entries])
+    scalar, batched = MaxDistinctSketch(k, 3), MaxDistinctSketch(k, 3)
+    for o, v in zip(keys.tolist(), vals.tolist()):
+        scalar.update(o, v)
+    batched.update_batch(keys[:cut], vals[:cut])
+    batched.update_batch(keys[cut:], vals[cut:])
+    assert batched.to_bytes() == scalar.to_bytes()
+
+
+def test_sketch_batches_reject_what_scalar_updates_reject():
+    keys = np.array([1, 2], dtype=np.uint64)
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError):
+            AllThresholdSketch(4).update_batch(keys, np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            AllThresholdSketch(4).update(2, bad)
+    for bad in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError):
+            MaxDistinctSketch(4).update_batch(keys, np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            MaxDistinctSketch(4).update(2, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=entry_lists, m=st.integers(1, 30))
+def test_smallest_breaks_ties_by_key(entries, m):
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    ys = np.array([y for _, y in entries])
+    assert _smallest(keys, ys, m).tolist() == np.lexsort((keys, ys))[:m].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=st.sets(st.integers(0, 2**64 - 1), max_size=20), extra=st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_lookup_finds_pool_members(pool, extra):
+    pool_arr = np.array(sorted(pool, reverse=True), dtype=np.uint64)
+    # keys sharing the low 16 bits of a pool key but not the key itself
+    near = [(p ^ (1 << 40)) for p in pool]
+    keys = np.array([*pool, *extra, *near], dtype=np.uint64)
+    found, index = _lookup(pool_arr, keys)
+    assert found.tolist() == [k in pool for k in keys.tolist()]
+    assert (pool_arr[index[found]] == keys[found]).all()
+
+
+# ---------------------------------------------------------------------------
+# values whose exponential draws overflow
+
+SUBNORMAL = 1e-320
+
+
+def _pipelines():
+    a = inverse_transform(parse_statistic("sqrt"))
+    return [
+        FullRangePipeline(r=3, epsilon=0.3, k=8),
+        CombinationPipeline(a, r=3, epsilon=0.3, k=8),
+        SignedCombinationPipeline(_signed_function(parse_statistic("capT=5")), r=3, epsilon=0.3, k=8),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_subnormal_value_rejected_element_at_a_time(index):
+    pipeline = _pipelines()[index]
+    pipeline.ingest(Element(b"a", 1.0))
+    with pytest.raises(ElementValidationError, match="overflow"):
+        pipeline.ingest(Element(b"b", SUBNORMAL))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_subnormal_value_rejected_in_batches(index):
+    pipeline = _pipelines()[index]
+    k64 = np.array([hash_key(b"a"), hash_key(b"b")], dtype=np.uint64)
+    with pytest.raises(ElementValidationError, match="overflow"):
+        pipeline.ingest_batch(k64, np.array([1.0, SUBNORMAL]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_batch_rejects_values_elements_reject(bad):
+    with pytest.raises(ElementValidationError):
+        Element(b"b", bad)
+    k64 = np.array([hash_key(b"a"), hash_key(b"b")], dtype=np.uint64)
+    with pytest.raises(ElementValidationError):
+        FullRangePipeline(r=3, epsilon=0.3, k=8).ingest_batch(k64, np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("mode,stat", [("fullrange", "softcapT=5"), ("combination", "sqrt"), ("combination", "capT=5")])
+def test_cli_subnormal_value_exit_code(tmp_path, capsys, mode, stat):
+    tsv = tmp_path / "tiny.tsv"
+    tsv.write_text("a\t1.0\nb\t1e-320\nc\t2\n")
+    out = tmp_path / "s.fsk"
+    assert main(["build", str(tsv), "--mode", mode, "--stat", stat, "--r", "3", "-o", str(out)]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
