@@ -28,15 +28,7 @@ from .estimators import (
     signed_estimate,
     soft_cap_estimate,
 )
-from .mappers import (
-    MapperConfig,
-    OutputElement,
-    choose_replication,
-    map_combination,
-    map_full_range,
-    map_point,
-    map_point_fast,
-)
+from .mappers import MapperConfig, choose_replication
 from .oracle import exact_measurement, exact_statistic, zipf_generate, zipf_ranks
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter, load_sketch
 from .transforms import (

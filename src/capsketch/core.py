@@ -57,12 +57,11 @@ _C2 = 0x94D049BB133111EB
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN2 = 0xC2B2AE3D27D4EB4F
 
-# Domain-separation salts: element draws, outkey derivation, sketch ranks and
-# the fast-path generator must act like independent hash families.
+# Domain-separation salts: element draws, outkey derivation and sketch ranks
+# must act like independent hash families.
 _DRAW_SALT = 0xD1B54A32D192ED03
 _OUTKEY_SALT = 0x8BB84B93962EACC9
 _RANK_SALT = 0x2545F4914F6CDD1D
-_FAST_SALT = 0xA0761D6478BD642F
 
 _NC1 = np.uint64(_C1)
 _NC2 = np.uint64(_C2)
@@ -161,10 +160,6 @@ class RandomnessSource:
             h = _mix64_np(np.uint64(self._chain) ^ rows)
             h = _mix64_np(h[:, None] ^ cols[None, :])
         return _to_unit_np(h)
-
-    def fast_path_seed(self, ordinal: int) -> int:
-        """Seed for the per-element binomial fast path generator."""
-        return _mix64(self._chain ^ _FAST_SALT ^ ((ordinal * _GOLDEN) & _M64))
 
 
 def exp_draw(u: float | np.ndarray, rate: float | np.ndarray):

@@ -7,9 +7,12 @@ replication r is returned; below that the transform is in its linear regime
 and t * SUM is the better answer.
 
 Pipelines are single-writer; ``merge`` is pure and returns a new pipeline.
-Given the same ordinals, batch ingestion leaves point and full-range
-pipelines byte-identical to element-at-a-time ingestion, and combination
-pipelines with the same sidelined keys and estimate.
+``ingest`` takes one element as a one-element ``ingest_batch``, so there is
+one ingest path per mode. Given the same ordinals, batches of any sizes leave
+point and full-range pipelines byte-identical, and combination pipelines with
+the same sidelined keys and estimate. Every mode rejects the same values (not
+positive and finite, or so small that a draw overflows) before it changes any
+state, so a rejected call leaves the pipeline as it was.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from math import ceil, inf
 
 import numpy as np
 
-from .core import Element, IncompatibleSketchError
-from .mappers import MapperConfig, full_range_batch, map_full_range, map_point, point_outkeys_batch
+from .core import Element, IncompatibleSketchError, hash_key
+from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
 from .transforms import CoefficientFunction, SignedCoefficientFunction
 
@@ -86,7 +89,15 @@ def _smallest(keys: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
     return idx[np.lexsort((keys[idx], ys[idx]))][:m]
 
 
-class _PipelineBase:
+class _Ingest:
+    """Element-at-a-time ingestion, as a one-element batch."""
+
+    def ingest(self, e: Element) -> None:
+        e = e if isinstance(e, Element) else Element(*e)
+        self.ingest_batch(np.array([hash_key(e.key)], dtype=np.uint64), np.array([e.value]))
+
+
+class _PipelineBase(_Ingest):
     """Shared ingest bookkeeping: ordinal assignment and the exact sum."""
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
@@ -105,15 +116,10 @@ class _PipelineBase:
         """Minimum distinct-output estimate for the sketch path: 3/epsilon^2."""
         return 3.0 * self.epsilon**-2
 
-    def _next_ordinal(self) -> int:
-        o = self.ordinal_base + self.count
-        self.count += 1
-        return o
-
     def _next_ordinals(self, n: int) -> np.ndarray:
-        o = np.arange(self.ordinal_base + self.count, self.ordinal_base + self.count + n, dtype=np.uint64)
-        self.count += n
-        return o
+        """Ordinals of the next n elements; ``count`` advances only once they
+        are mapped, so a rejected batch is not counted."""
+        return np.arange(self.ordinal_base + self.count, self.ordinal_base + self.count + n, dtype=np.uint64)
 
 
 class PointPipeline(_PipelineBase):
@@ -137,19 +143,11 @@ class PointPipeline(_PipelineBase):
     def _cfg(self) -> MapperConfig:
         return MapperConfig(r=self.r, t=self.t, seed=self.seed)
 
-    def ingest(self, e: Element) -> None:
-        e = e if isinstance(e, Element) else Element(*e)
-        ordinal = self._next_ordinal()
-        outs = map_point(e, self._cfg(), ordinal)
-        self.emitted += len(outs)
-        for out in outs:
-            self.counter.update(out.outkey)
-        self.sum_counter.update(e.value)
-
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
         outkeys = point_outkeys_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
+        self.count += len(values)
         self.emitted += len(outkeys)
         self.counter.update_batch(outkeys)
         self.sum_counter.update_batch(values)
@@ -235,53 +233,15 @@ class CombinationPipeline(_PipelineBase):
         self.ell = ceil(3.0 * self.epsilon**-2)
         self.max_sketch = MaxDistinctSketch(k, seed)
         self.sidelined: dict[int, float] = {}
-        self._theta: tuple[float, int] | None = None
 
     def _cfg(self) -> MapperConfig:
         return MapperConfig(r=self.r, seed=self.seed)
-
-    def _theta_entry(self) -> tuple[float, int]:
-        if self._theta is None:
-            self._theta = max((y, o) for o, y in self.sidelined.items())
-        return self._theta
-
-    def _feed(self, okey: int, y: float) -> None:
-        v = float(self.a.tail(y))
-        if v > 0.0:
-            self.max_sketch.update(okey, v)
-
-    def _absorb(self, okey: int, y: float) -> None:
-        cur = self.sidelined.get(okey)
-        if cur is not None:
-            if y < cur:
-                self.sidelined[okey] = y
-                if self._theta is not None and self._theta[1] == okey:
-                    self._theta = None
-            return
-        if len(self.sidelined) < self.ell:
-            self.sidelined[okey] = y
-            self._theta = None
-            return
-        theta = self._theta_entry()
-        if (y, okey) < theta:
-            del self.sidelined[theta[1]]
-            self.sidelined[okey] = y
-            self._theta = None
-            self._feed(theta[1], theta[0])
-        else:
-            self._feed(okey, y)
-
-    def ingest(self, e: Element) -> None:
-        e = e if isinstance(e, Element) else Element(*e)
-        ordinal = self._next_ordinal()
-        for out in map_full_range(e, self._cfg(), ordinal):
-            self._absorb(out.outkey, out.value)
-        self.sum_counter.update(e.value)
 
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
         outkeys, ys = full_range_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
+        self.count += len(values)
         self._absorb_batch(outkeys, ys)
         self.sum_counter.update_batch(values)
 
@@ -300,7 +260,6 @@ class CombinationPipeline(_PipelineBase):
         keys, draws = np.concatenate([side_keys, outkeys]), np.concatenate([side_ys, ys])
         chosen = _smallest(keys, draws, self.ell)
         self.sidelined = dict(zip(keys[chosen].tolist(), draws[chosen].tolist()))
-        self._theta = None
         if len(chosen) == len(keys):
             return
         rest = np.ones(len(keys), dtype=bool)
@@ -332,7 +291,7 @@ class CombinationPipeline(_PipelineBase):
         """Current adaptive cutoff: the largest sidelined draw."""
         if not self.sidelined:
             return 0.0
-        return self._theta_entry()[0]
+        return max(self.sidelined.values())
 
     def estimate(self) -> float:
         """Finalize without mutating: sideline keys are fed at the cutoff's
@@ -343,8 +302,8 @@ class CombinationPipeline(_PipelineBase):
         fed = self.max_sketch.merge(MaxDistinctSketch(self.k, self.seed))
         v = float(self.a.tail(tau))
         if v > 0.0:
-            for okey in self.sidelined:
-                fed.update(okey, v)
+            keys = np.fromiter(self.sidelined, dtype=np.uint64, count=len(self.sidelined))
+            fed.update_batch(keys, np.full(len(keys), v))
         return fed.estimate() / self.r + self.sum_counter.value() * float(self.a.head(tau))
 
     def to_bytes(self) -> bytes:
@@ -384,17 +343,11 @@ class FullRangePipeline(_PipelineBase):
     def _cfg(self) -> MapperConfig:
         return MapperConfig(r=self.r, seed=self.seed)
 
-    def ingest(self, e: Element) -> None:
-        e = e if isinstance(e, Element) else Element(*e)
-        ordinal = self._next_ordinal()
-        for out in map_full_range(e, self._cfg(), ordinal):
-            self.threshold_sketch.update(out.outkey, out.value)
-        self.sum_counter.update(e.value)
-
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
         outkeys, ys = full_range_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
+        self.count += len(values)
         self.threshold_sketch.update_batch(outkeys, ys)
         self.sum_counter.update_batch(values)
 
@@ -513,7 +466,7 @@ def signed_estimate(
     )
 
 
-class SignedCombinationPipeline:
+class SignedCombinationPipeline(_Ingest):
     """Two combination pipelines measuring the positive and negative parts of
     a signed coefficient function, with independent draws."""
 
@@ -535,10 +488,6 @@ class SignedCombinationPipeline:
     @property
     def epsilon(self) -> float:
         return self.plus.epsilon
-
-    def ingest(self, e: Element) -> None:
-        self.plus.ingest(e)
-        self.minus.ingest(e)
 
     def ingest_batch(self, key64s, values) -> None:
         self.plus.ingest_batch(key64s, values)

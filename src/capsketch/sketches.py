@@ -1,17 +1,20 @@
 """Mergeable summaries over output elements.
 
-All three counting sketches are bottom-k structures driven by one rank
+All three counting sketches are one bottom-k structure driven by one rank
 discipline: each outkey owns a deterministic uniform u in (0,1), giving an
-exponential base rank -ln(u). The distinct counter keeps the k smallest base
-ranks; the max-distinct sketch divides the base rank by the largest value seen
-for the key, so a key's rank shrinks as its value grows; the all-threshold
-sketch keeps an entry when its rank is among the k smallest of stored keys
-with a smaller-or-equal minimum value, which answers threshold queries for
-every threshold at once.
+exponential base rank -ln(u). A sketch holds its outkeys, their base ranks
+and one value per key as arrays, in the order ``to_bytes`` writes them. The
+distinct counter keeps the k smallest base ranks; the max-distinct sketch
+divides the base rank by the largest value seen for the key, so a key's rank
+shrinks as its value grows; the all-threshold sketch keeps an entry when its
+rank is among the k smallest of stored keys with a smaller-or-equal minimum
+value, which answers threshold queries for every threshold at once.
 
-Merging any of them is a pure function of the entry sets, so merge order and
-input sharding never change the result: a merged sketch is byte-identical to
-the single-pass sketch over the concatenated stream. Instances are
+Updates, merges and reads all concatenate entry arrays and apply the
+sketch's retention rule, so the state is a pure function of the entry set:
+merge order and input sharding never change the result, and a merged sketch
+is byte-identical to the single-pass sketch over the concatenated stream. A
+scalar ``update`` is a one-element ``update_batch``. Instances are
 single-writer; readers are safe between updates.
 """
 
@@ -20,11 +23,11 @@ from __future__ import annotations
 import heapq
 import struct
 from fractions import Fraction
-from math import expm1, inf, isfinite
+from math import expm1, inf
 
 import numpy as np
 
-from .core import IncompatibleSketchError, rank_uniform, rank_uniforms
+from .core import IncompatibleSketchError, rank_uniforms
 
 __all__ = [
     "DistinctCounter",
@@ -41,11 +44,12 @@ _TYPE_DISTINCT = 1
 _TYPE_MAXDISTINCT = 2
 _TYPE_ALLTHRESHOLD = 3
 _TYPE_SUM = 4
-
-
-def _base_rank(outkey: int, seed: int) -> float:
-    # np.log for bit-consistency with the batch path
-    return float(-np.log(rank_uniform(outkey, seed)))
+# One serialized entry: the distinct counter writes outkeys only, the other
+# two sketches each key's value after it.
+_KEY_RECORD = np.dtype([("outkey", "<u8")])
+_RECORD = np.dtype([("outkey", "<u8"), ("value", "<f8")])
+# Entries per step of a batch update of the distinct and max-distinct sketches.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _base_ranks(outkeys: np.ndarray, seed: int) -> np.ndarray:
@@ -82,18 +86,39 @@ def _rank_cut(keys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
     """Mask of the entries that can hold a place among the k smallest-ranked
     keys, where a key may repeat and ranks at its smallest entry.
 
-    The 2k smallest entries usually name k distinct keys; the k-th of them
-    in rank order bounds the k-th smallest key rank, and nothing above it
-    matters. Otherwise every entry is kept.
+    Once the m smallest entries name k distinct keys (at m = 2k when keys
+    rarely repeat), the k-th of them in rank order bounds the k-th smallest
+    key rank, and nothing above it matters. m grows fourfold until it does;
+    when it covers the input first, every entry is kept.
     """
-    if len(ranks) <= 2 * k:
-        return np.ones(len(ranks), dtype=bool)
-    low = np.argpartition(ranks, 2 * k - 1)[: 2 * k]
-    low = low[np.argsort(ranks[low])]
-    _, first = np.unique(keys[low], return_index=True)
-    if len(first) < k:
-        return np.ones(len(ranks), dtype=bool)
-    return ranks <= ranks[low[np.sort(first)[k - 1]]]
+    m = 2 * k
+    while m < len(ranks):
+        low = np.argpartition(ranks, m - 1)[:m]
+        low = low[np.argsort(ranks[low])]
+        _, first = np.unique(keys[low], return_index=True)
+        if len(first) >= k:
+            return ranks <= ranks[low[np.sort(first)[k - 1]]]
+        m *= 4
+    return np.ones(len(ranks), dtype=bool)
+
+
+def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the entries a max-distinct sketch of size k retains, in
+    (base/m, outkey) order.
+
+    An outkey may repeat: it counts once, at its largest value m. Of those
+    keys the k smallest (base/m, outkey) are kept. A distinct counter is the
+    case m = 1.
+    """
+    ranks = bases / ms
+    idx = np.flatnonzero(_rank_cut(okeys, ranks, k))
+    # each key once, at its largest value: first in (key, -value) order
+    idx = idx[np.lexsort((-ms[idx], okeys[idx]))]
+    keys = okeys[idx]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    idx = idx[first]
+    return idx[np.lexsort((okeys[idx], ranks[idx]))][:k]
 
 
 def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
@@ -140,7 +165,80 @@ def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: in
     return order[np.asarray(kept, dtype=np.intp)]
 
 
-class DistinctCounter:
+class _BottomK:
+    """Entry arrays of a counting sketch: outkeys (``_entries``), their base
+    ranks and one value per key, in the order ``to_bytes`` writes them.
+
+    Every change concatenates entries to the stored ones and applies
+    :meth:`_retain`, the sketch's retention rule.
+    """
+
+    TYPE_TAG: int
+
+    def __init__(self, k: int, seed: int = 0):
+        if int(k) < 1:
+            raise ValueError(f"sketch size k must be >= 1, got {k}")
+        self.k = int(k)
+        self.seed = int(seed)
+        self._entries = np.empty(0, dtype=np.uint64)
+        self._ranks = np.empty(0, dtype=np.float64)
+        self._values = np.empty(0, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _retain(self, okeys: np.ndarray, bases: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return _bottom_k(okeys, bases, values, self.k)
+
+    def _add(self, okeys: np.ndarray, bases: np.ndarray, values: np.ndarray) -> None:
+        """Concatenate entries to the stored ones, then retain."""
+        okeys = np.concatenate([self._entries, okeys])
+        bases = np.concatenate([self._ranks, bases])
+        values = np.concatenate([self._values, values])
+        keep = self._retain(okeys, bases, values)
+        self._entries, self._ranks, self._values = okeys[keep], bases[keep], values[keep]
+
+    def _add_batch(self, okeys: np.ndarray, values: np.ndarray) -> None:
+        """Add (outkey, value) entries under the global retention rule, a
+        chunk at a time: an entry above its chunk's rank cut cannot be
+        retained, so only a chunk's few candidates are concatenated, and
+        temporaries stay the size of a chunk."""
+        for lo in range(0, len(okeys), _CHUNK_ENTRIES):
+            o, v = okeys[lo : lo + _CHUNK_ENTRIES], values[lo : lo + _CHUNK_ENTRIES]
+            bases = _base_ranks(o, self.seed)
+            cut = _rank_cut(o, bases / v, self.k)
+            self._add(o[cut], bases[cut], v[cut])
+
+    def _merged(self, other):
+        _check_compatible(self, other)
+        out = type(self)(self.k, self.seed)
+        out._entries, out._ranks, out._values = self._entries, self._ranks, self._values
+        out._add(other._entries, other._ranks, other._values)
+        return out
+
+    def _write(self, record: np.dtype) -> bytes:
+        """Header, then one record per entry; a record without a value field
+        leaves the value out."""
+        rec = np.empty(len(self), dtype=record)
+        rec["outkey"] = self._entries
+        if "value" in record.names:
+            rec["value"] = self._values
+        return _pack_header(self.TYPE_TAG, self.k, self.seed, len(self)) + rec.tobytes()
+
+    @classmethod
+    def _read(cls, data: bytes, record: np.dtype):
+        """Sketch holding the entries of a blob written by :meth:`_write`;
+        records without a value field hold value 1."""
+        _, k, seed, count = _unpack_header(data, cls.TYPE_TAG)
+        rec = np.frombuffer(data, dtype=record, count=count, offset=_HEADER.size)
+        okeys = rec["outkey"].astype(np.uint64)
+        values = rec["value"].astype(np.float64) if "value" in record.names else np.ones(count)
+        sk = cls(k, seed)
+        sk._add(okeys, _base_ranks(okeys, seed), values)
+        return sk
+
+
+class DistinctCounter(_BottomK):
     """Bottom-k distinct counter over outkeys.
 
     Exact below k entries; at and beyond k, estimates (k-1)/(1 - exp(-R_k))
@@ -150,94 +248,33 @@ class DistinctCounter:
 
     TYPE_TAG = _TYPE_DISTINCT
 
-    def __init__(self, k: int, seed: int = 0):
-        if int(k) < 1:
-            raise ValueError(f"sketch size k must be >= 1, got {k}")
-        self.k = int(k)
-        self.seed = int(seed)
-        self._entries: dict[int, float] = {}
-        self._max: tuple[float, int] | None = None  # (rank, outkey) threshold when full
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _recompute_max(self):
-        self._max = max((r, o) for o, r in self._entries.items()) if self._entries else None
-
     def update(self, outkey: int) -> None:
-        okey = int(outkey)
-        if okey in self._entries:
-            return
-        rank = _base_rank(okey, self.seed)
-        if len(self._entries) < self.k:
-            self._entries[okey] = rank
-            if len(self._entries) == self.k:
-                self._recompute_max()
-            return
-        assert self._max is not None
-        if (rank, okey) < self._max:
-            del self._entries[self._max[1]]
-            self._entries[okey] = rank
-            self._recompute_max()
+        self.update_batch(np.array([outkey], dtype=np.uint64))
 
     def update_batch(self, outkeys: np.ndarray) -> None:
         outkeys = np.asarray(outkeys, dtype=np.uint64)
         if outkeys.size == 0:
             return
-        new = np.unique(outkeys)
-        keys = np.concatenate([np.fromiter(self._entries, dtype=np.uint64, count=len(self._entries)), new])
-        keys, idx = np.unique(keys, return_index=True)
-        ranks = _base_ranks(keys, self.seed)
-        if len(keys) > self.k:
-            order = np.lexsort((keys, ranks))[: self.k]
-            keys, ranks = keys[order], ranks[order]
-        self._entries = {int(o): float(r) for o, r in zip(keys, ranks)}
-        self._max = None
-        if len(self._entries) == self.k:
-            self._recompute_max()
+        self._add_batch(outkeys, np.broadcast_to(1.0, outkeys.shape))
 
     def merge(self, other: "DistinctCounter") -> "DistinctCounter":
-        _check_compatible(self, other)
-        out = DistinctCounter(self.k, self.seed)
-        combined = dict(self._entries)
-        combined.update(other._entries)
-        if len(combined) > self.k:
-            kept = heapq.nsmallest(self.k, ((r, o) for o, r in combined.items()))
-            combined = {o: r for r, o in kept}
-        out._entries = combined
-        if len(combined) == self.k:
-            out._recompute_max()
-        return out
+        return self._merged(other)
 
     def estimate(self) -> float:
         n = len(self._entries)
         if n < self.k:
             return float(n)
-        if self._max is None:
-            self._recompute_max()
-        kth = self._max[0]
-        return (self.k - 1) / -expm1(-kth)
-
-    def _canonical(self) -> list[tuple[float, int]]:
-        return sorted((r, o) for o, r in self._entries.items())
+        return (self.k - 1) / -expm1(-float(self._ranks[-1]))
 
     def to_bytes(self) -> bytes:
-        body = b"".join(struct.pack("<Q", o) for _, o in self._canonical())
-        return _pack_header(self.TYPE_TAG, self.k, self.seed, len(self._entries)) + body
+        return self._write(_KEY_RECORD)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DistinctCounter":
-        _, k, seed, count = _unpack_header(data, cls.TYPE_TAG)
-        sk = cls(k, seed)
-        off = _HEADER.size
-        okeys = np.frombuffer(data, dtype="<u8", count=count, offset=off).astype(np.uint64)
-        sk._entries = {int(o): _base_rank(int(o), seed) for o in okeys}
-        if len(sk._entries) == k:
-            sk._recompute_max()
-        return sk
+        return cls._read(data, _KEY_RECORD)
 
 
-class MaxDistinctSketch:
+class MaxDistinctSketch(_BottomK):
     """Bottom-k sketch estimating the sum over distinct outkeys of the
     maximum value seen for the key.
 
@@ -249,48 +286,8 @@ class MaxDistinctSketch:
 
     TYPE_TAG = _TYPE_MAXDISTINCT
 
-    def __init__(self, k: int, seed: int = 0):
-        if int(k) < 1:
-            raise ValueError(f"sketch size k must be >= 1, got {k}")
-        self.k = int(k)
-        self.seed = int(seed)
-        self._entries: dict[int, tuple[float, float]] = {}  # okey -> (m, base rank)
-        self._max: tuple[float, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _rank(self, okey: int) -> float:
-        m, base = self._entries[okey]
-        return base / m
-
-    def _recompute_max(self):
-        self._max = max((b / m, o) for o, (m, b) in self._entries.items()) if self._entries else None
-
     def update(self, outkey: int, value: float) -> None:
-        okey = int(outkey)
-        v = float(value)
-        if not (v > 0.0 and isfinite(v)):
-            raise ValueError(f"max-distinct values must be positive and finite, got {value!r}")
-        if okey in self._entries:
-            m, base = self._entries[okey]
-            if v > m:
-                self._entries[okey] = (v, base)
-                if self._max is not None and self._max[1] == okey:
-                    self._recompute_max()
-            return
-        base = _base_rank(okey, self.seed)
-        rank = base / v
-        if len(self._entries) < self.k:
-            self._entries[okey] = (v, base)
-            if len(self._entries) == self.k:
-                self._recompute_max()
-            return
-        assert self._max is not None
-        if (rank, okey) < self._max:
-            del self._entries[self._max[1]]
-            self._entries[okey] = (v, base)
-            self._recompute_max()
+        self.update_batch(np.array([outkey], dtype=np.uint64), np.array([value], dtype=np.float64))
 
     def update_batch(self, outkeys: np.ndarray, values: np.ndarray) -> None:
         outkeys = np.asarray(outkeys, dtype=np.uint64)
@@ -299,73 +296,25 @@ class MaxDistinctSketch:
             return
         if not np.all((values > 0.0) & (values < inf)):
             raise ValueError("max-distinct values must be positive and finite")
-        n = len(self._entries)
-        stored = np.array(list(self._entries.values()), dtype=np.float64).reshape(n, 2)
-        keys = np.concatenate([np.fromiter(self._entries, dtype=np.uint64, count=n), outkeys])
-        ms = np.concatenate([stored[:, 0], values])
-        bases = np.concatenate([stored[:, 1], _base_ranks(outkeys, self.seed)])
-        keep = _rank_cut(keys, bases / ms, self.k)
-        keys, ms, bases = keys[keep], ms[keep], bases[keep]
-        # each key once, at its largest value: first in (key, -value) order
-        order = np.lexsort((-ms, keys))
-        keys, ms, bases = keys[order], ms[order], bases[order]
-        first = np.r_[True, keys[1:] != keys[:-1]]
-        keys, ms, bases = keys[first], ms[first], bases[first]
-        if len(keys) > self.k:
-            order = np.lexsort((keys, bases / ms))[: self.k]
-            keys, ms, bases = keys[order], ms[order], bases[order]
-        self._entries = dict(zip(keys.tolist(), zip(ms.tolist(), bases.tolist())))
-        self._max = None
-        if len(self._entries) == self.k:
-            self._recompute_max()
+        self._add_batch(outkeys, values)
 
     def merge(self, other: "MaxDistinctSketch") -> "MaxDistinctSketch":
-        _check_compatible(self, other)
-        out = MaxDistinctSketch(self.k, self.seed)
-        combined = dict(self._entries)
-        for o, (m, b) in other._entries.items():
-            cur = combined.get(o)
-            if cur is None or m > cur[0]:
-                combined[o] = (m, b)
-        if len(combined) > self.k:
-            kept = heapq.nsmallest(self.k, ((b / m, o) for o, (m, b) in combined.items()))
-            keep = {o for _, o in kept}
-            combined = {o: mb for o, mb in combined.items() if o in keep}
-        out._entries = combined
-        if len(combined) == self.k:
-            out._recompute_max()
-        return out
+        return self._merged(other)
 
     def estimate(self) -> float:
-        n = len(self._entries)
-        if n < self.k:
-            return float(sum(m for m, _ in self._entries.values()))
-        if self._max is None:
-            self._recompute_max()
-        return (self.k - 1) / self._max[0]
-
-    def _canonical(self) -> list[tuple[float, int, float]]:
-        return sorted((b / m, o, m) for o, (m, b) in self._entries.items())
+        if len(self._entries) < self.k:
+            return float(self._values.sum())
+        return (self.k - 1) / float(self._ranks[-1] / self._values[-1])
 
     def to_bytes(self) -> bytes:
-        body = b"".join(struct.pack("<Qd", o, m) for _, o, m in self._canonical())
-        return _pack_header(self.TYPE_TAG, self.k, self.seed, len(self._entries)) + body
+        return self._write(_RECORD)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MaxDistinctSketch":
-        _, k, seed, count = _unpack_header(data, cls.TYPE_TAG)
-        sk = cls(k, seed)
-        off = _HEADER.size
-        for _ in range(count):
-            o, m = struct.unpack_from("<Qd", data, off)
-            off += 16
-            sk._entries[int(o)] = (float(m), _base_rank(int(o), seed))
-        if len(sk._entries) == k:
-            sk._recompute_max()
-        return sk
+        return cls._read(data, _RECORD)
 
 
-class AllThresholdSketch:
+class AllThresholdSketch(_BottomK):
     """All-threshold distinct counter: one structure answering, for every t,
     how many distinct outkeys carry a value <= t.
 
@@ -380,35 +329,11 @@ class AllThresholdSketch:
     TYPE_TAG = _TYPE_ALLTHRESHOLD
 
     def __init__(self, k: int, seed: int = 0):
-        if int(k) < 1:
-            raise ValueError(f"sketch size k must be >= 1, got {k}")
-        self.k = int(k)
-        self.seed = int(seed)
-        self._entries: dict[int, tuple[float, float]] = {}  # okey -> (min y, base rank)
-        self._dirty = False
-        self._trigger = max(4 * self.k, 64)
+        super().__init__(k, seed)
         self._profile: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def __len__(self) -> int:
-        self._prune()
-        return len(self._entries)
-
     def update(self, outkey: int, y: float) -> None:
-        okey = int(outkey)
-        yv = float(y)
-        if not (yv >= 0.0 and isfinite(yv)):
-            raise ValueError(f"threshold values must be finite and >= 0, got {y!r}")
-        cur = self._entries.get(okey)
-        if cur is None:
-            self._entries[okey] = (yv, _base_rank(okey, self.seed))
-        elif yv < cur[0]:
-            self._entries[okey] = (yv, cur[1])
-        else:
-            return
-        self._dirty = True
-        self._profile = None
-        if len(self._entries) > self._trigger:
-            self._prune()
+        self.update_batch(np.array([outkey], dtype=np.uint64), np.array([y], dtype=np.float64))
 
     def update_batch(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         outkeys = np.asarray(outkeys, dtype=np.uint64)
@@ -417,38 +342,20 @@ class AllThresholdSketch:
             return
         if not np.all((ys >= 0.0) & (ys < inf)):
             raise ValueError("threshold values must be finite and >= 0")
-        okeys, stored_ys, ranks = self._arrays()
-        self._retain(
-            np.concatenate([okeys, outkeys]),
-            np.concatenate([stored_ys, ys]),
-            np.concatenate([ranks, _base_ranks(outkeys, self.seed)]),
-        )
+        self._add(outkeys, _base_ranks(outkeys, self.seed), ys)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stored (outkeys, minimum values, base ranks) as arrays."""
-        n = len(self._entries)
-        okeys = np.fromiter(self._entries, dtype=np.uint64, count=n)
-        yb = np.array(list(self._entries.values()), dtype=np.float64).reshape(n, 2)
-        return okeys, yb[:, 0], yb[:, 1]
+    def _retain(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        keep = _prefix_bottom_k(okeys, ys, bases, self.k)
+        return keep[np.lexsort((okeys[keep], bases[keep]))]
 
-    def _retain(self, okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray) -> None:
-        """Replace the entries by those the retention rule keeps among the
-        given ones; an outkey may repeat and counts at its smallest value."""
-        keep = _prefix_bottom_k(okeys, ys, ranks, self.k)
-        self._entries = dict(zip(okeys[keep].tolist(), zip(ys[keep].tolist(), ranks[keep].tolist())))
-        self._dirty = False
+    def _add(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> None:
+        super()._add(okeys, bases, ys)
         self._profile = None
-        self._trigger = max(4 * self.k, 2 * len(self._entries))
-
-    def _prune(self) -> None:
-        if self._dirty:
-            self._retain(*self._arrays())
 
     def _build_profile(self):
-        self._prune()
         if self._profile is not None:
             return self._profile
-        items = sorted((y, b, o) for o, (y, b) in self._entries.items())
+        items = sorted(zip(self._values.tolist(), self._ranks.tolist(), self._entries.tolist()))
         ys, counts, kths = [], [], []
         heap: list[float] = []  # max-heap (negated) of the k smallest ranks so far
         for j, (y, rank, _) in enumerate(items):
@@ -500,29 +407,14 @@ class AllThresholdSketch:
         return self._build_profile()[0].copy()
 
     def merge(self, other: "AllThresholdSketch") -> "AllThresholdSketch":
-        _check_compatible(self, other)
-        out = AllThresholdSketch(self.k, self.seed)
-        out._retain(*(np.concatenate(parts) for parts in zip(self._arrays(), other._arrays())))
-        return out
-
-    def _canonical(self) -> list[tuple[float, int, float]]:
-        self._prune()
-        return sorted((b, o, y) for o, (y, b) in self._entries.items())
+        return self._merged(other)
 
     def to_bytes(self) -> bytes:
-        body = b"".join(struct.pack("<Qd", o, y) for _, o, y in self._canonical())
-        return _pack_header(self.TYPE_TAG, self.k, self.seed, len(self._entries)) + body
+        return self._write(_RECORD)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AllThresholdSketch":
-        _, k, seed, count = _unpack_header(data, cls.TYPE_TAG)
-        sk = cls(k, seed)
-        off = _HEADER.size
-        for _ in range(count):
-            o, y = struct.unpack_from("<Qd", data, off)
-            off += 16
-            sk._entries[int(o)] = (float(y), _base_rank(int(o), seed))
-        return sk
+        return cls._read(data, _RECORD)
 
 
 class SumCounter:
@@ -541,15 +433,14 @@ class SumCounter:
         self._total = Fraction(0)
 
     def update(self, value: float) -> None:
-        v = float(value)
-        if not (v > 0.0 and isfinite(v)):
-            raise ValueError(f"summed values must be positive and finite, got {value!r}")
-        self._total += Fraction(v)
+        self.update_batch(np.array([value], dtype=np.float64))
 
     def update_batch(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
+        if not np.all((values > 0.0) & (values < inf)):
+            raise ValueError("summed values must be positive and finite")
         as_int = values.astype(np.int64)
         if np.all(as_int == values):
             self._total += int(as_int.sum(dtype=object))

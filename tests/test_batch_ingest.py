@@ -13,15 +13,18 @@ from capsketch import (
     ElementValidationError,
     FullRangePipeline,
     MaxDistinctSketch,
+    PointPipeline,
     SignedCombinationPipeline,
+    SumCounter,
 )
 from capsketch import mappers
 from capsketch.cli import _signed_function, main
 from capsketch.core import hash_key
 from capsketch.estimators import _lookup, _smallest
-from capsketch.mappers import MapperConfig, full_range_batch, map_full_range
+from capsketch.mappers import MapperConfig, full_range_batch
 from capsketch.oracle import zipf_ranks
 from capsketch.transforms import inverse_transform, parse_statistic
+from reference import map_full_range
 
 
 def zipf_elements(n, alpha, seed):
@@ -206,7 +209,36 @@ def test_batch_rejects_values_elements_reject(bad):
         FullRangePipeline(r=3, epsilon=0.3, k=8).ingest_batch(k64, np.array([1.0, bad]))
 
 
-@pytest.mark.parametrize("mode,stat", [("fullrange", "softcapT=5"), ("combination", "sqrt"), ("combination", "capT=5")])
+def _all_pipelines():
+    return [PointPipeline.for_soft_cap(5.0, r=3, epsilon=0.3, k=8), *_pipelines()]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, SUBNORMAL])
+@pytest.mark.parametrize("index", range(4))
+def test_rejected_values_leave_pipeline_unchanged(index, bad):
+    pipeline = _all_pipelines()[index]
+    pipeline.ingest(Element(b"a", 1.0))
+    before = pipeline.to_bytes()
+    k64 = np.array([hash_key(b"c"), hash_key(b"b")], dtype=np.uint64)
+    with pytest.raises(ElementValidationError):
+        pipeline.ingest_batch(k64, np.array([1.0, bad]))
+    assert pipeline.to_bytes() == before
+    with pytest.raises(ElementValidationError):
+        pipeline.ingest((b"b", bad))
+    assert pipeline.to_bytes() == before
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_sum_counter_batch_rejects_what_elements_reject(bad):
+    counter = SumCounter()
+    with pytest.raises(ValueError):
+        counter.update_batch(np.array([1.0, bad]))
+    assert counter.exact() == 0
+
+
+@pytest.mark.parametrize(
+    "mode,stat", [("point", "softcapT=5"), ("fullrange", "softcapT=5"), ("combination", "sqrt"), ("combination", "capT=5")]
+)
 def test_cli_subnormal_value_exit_code(tmp_path, capsys, mode, stat):
     tsv = tmp_path / "tiny.tsv"
     tsv.write_text("a\t1.0\nb\t1e-320\nc\t2\n")

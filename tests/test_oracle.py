@@ -9,9 +9,7 @@ from capsketch import (
     MaxDistinctSketch,
     StatisticSpec,
     aggregate,
-    map_point,
 )
-from capsketch.mappers import OutputElement
 from capsketch.oracle import (
     aggregate_ranks,
     exact_measurement,
@@ -20,6 +18,7 @@ from capsketch.oracle import (
     zipf_ranks,
 )
 from capsketch.transforms import capping_transform
+from reference import OutputElement, map_point
 
 
 def test_exact_statistic_toy(toy_dist):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from capsketch import (
     MaxDistinctSketch,
     SumCounter,
     load_sketch,
+    sketches,
 )
-from capsketch.sketches import _base_rank
+from reference import base_rank as _base_rank
+from reference import bottom_k_of_maxima, prefix_bottom_k, sketch_blob
 
 
 def test_distinct_exact_mode():
@@ -289,3 +292,60 @@ def test_bad_blobs():
     dc = DistinctCounter(k=4, seed=0)
     with pytest.raises(IncompatibleSketchError):
         MaxDistinctSketch.from_bytes(dc.to_bytes())
+
+
+definition_entries = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
+    min_size=0,
+    max_size=120,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=definition_entries,
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    chunk=st.integers(1, 130),
+    data=st.data(),
+)
+def test_sketches_equal_their_definitions(entries, k, seed, chunk, data):
+    # update_batch over arbitrary splits (each split in update chunks of any
+    # size) and merges over arbitrary partitions hold exactly the entries of
+    # the brute-force retention rules
+    n = len(entries)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    parts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=int)
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    ys = np.array([y for _, y in entries], dtype=np.float64)
+    pairs = list(zip(keys.tolist(), ys.tolist()))
+    maxima = [(o, y + 0.25) for o, y in pairs]
+    cases = [
+        (
+            lambda: DistinctCounter(k, seed),
+            lambda sk, sel: sk.update_batch(keys[sel]),
+            sketch_blob(1, k, seed, [(o,) for o, _ in bottom_k_of_maxima([(o, 1.0) for o, _ in pairs], k, seed)], "<Q"),
+        ),
+        (
+            lambda: MaxDistinctSketch(k, seed),
+            lambda sk, sel: sk.update_batch(keys[sel], ys[sel] + 0.25),
+            sketch_blob(2, k, seed, bottom_k_of_maxima(maxima, k, seed), "<Qd"),
+        ),
+        (
+            lambda: AllThresholdSketch(k, seed),
+            lambda sk, sel: sk.update_batch(keys[sel], ys[sel]),
+            sketch_blob(3, k, seed, prefix_bottom_k(pairs, k, seed), "<Qd"),
+        ),
+    ]
+    for make, feed, expected in cases:
+        split = make()
+        with mock.patch.object(sketches, "_CHUNK_ENTRIES", chunk):
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                feed(split, slice(lo, hi))
+        shards = []
+        for p in range(4):
+            shards.append(make())
+            feed(shards[-1], parts == p)
+        merged = shards[0].merge(shards[1]).merge(shards[2].merge(shards[3]))
+        assert split.to_bytes() == expected
+        assert merged.to_bytes() == expected

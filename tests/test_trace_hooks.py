@@ -1,0 +1,67 @@
+"""The benchmark's span tracer must still find and wrap what it looks up.
+
+``perfbench/tracing.py`` replaces entry points found through each owner's
+``__dict__`` and counts sketch entries with ``len(sketch._entries)``, and it
+reads 0 without failing when either is missing. A build in each mode, a merge
+and an estimate under the tracer must therefore give sketch spans with
+entries, and uninstalling must put every original back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from capsketch.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up there
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+# (--mode, --stat, sketch class holding the entries); capT=5 in combination
+# mode takes the signed route.
+ROUTES = [
+    ("point", "softcapT=5", "DistinctCounter"),
+    ("fullrange", "softcapT=5", "AllThresholdSketch"),
+    ("combination", "sqrt", "MaxDistinctSketch"),
+    ("combination", "capT=5", "MaxDistinctSketch"),
+]
+
+
+def test_tracer_sees_sketch_entries_and_uninstalls(tmp_path, capsys, tracing):
+    tsv = tmp_path / "tiny.tsv"
+    tsv.write_text("".join(f"k{i % 37}\t{1 + i % 5}\n" for i in range(400)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    patches = list(tracer._patches)
+    try:
+        assert patches and all(owner.__dict__[attr] is not raw for owner, attr, raw in patches)
+        for j, (mode, stat, _) in enumerate(ROUTES):
+            shards = []
+            for base in (0, 1000):
+                out = tmp_path / f"{j}-{base}.fsk"
+                argv = ["build", str(tsv), "--mode", mode, "--stat", stat, "--r", "9", "--k", "8"]
+                assert main([*argv, "--ordinal-base", str(base), "-o", str(out)]) == 0
+                shards.append(str(out))
+            merged = tmp_path / f"{j}.fsk"
+            assert main(["merge", *shards, "-o", str(merged)]) == 0
+            assert main(["estimate", str(merged)]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is raw for owner, attr, raw in patches)
+    for _, _, cls in ROUTES:
+        for method in ("update_batch", "from_bytes"):
+            name = f"sketches.{cls}.{method}"
+            entries = [s.counts.get("entries", 0) for s in tracer.spans if s.name == name]
+            assert entries, f"no {name} span"
+            assert max(entries) > 0, f"{name} spans count no entries"
