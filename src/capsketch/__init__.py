@@ -12,6 +12,7 @@ from .core import (
     FrequencyDistribution,
     IllPosedTransformError,
     IncompatibleSketchError,
+    ParseError,
     RandomnessSource,
     UnsupportedStatisticError,
     aggregate,
@@ -30,7 +31,7 @@ from .estimators import (
 )
 from .mappers import MapperConfig, choose_replication
 from .oracle import exact_measurement, exact_statistic, zipf_generate, zipf_ranks
-from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter, load_sketch
+from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
 from .transforms import (
     CappingTransform,
     CoefficientFunction,

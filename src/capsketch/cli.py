@@ -4,17 +4,16 @@ files, query estimates, evaluate the exact oracle, and run the benchmark.
 Input format is tab-separated ``key<TAB>value`` lines; the value column is
 optional and defaults to 1. Keys are raw bytes up to the first tab.
 
-Exit codes: 0 success, 2 parse error, 3 incompatible sketches,
-4 unsupported statistic.
+Exit codes: 0 success, 2 parse error (a malformed line or sketch file),
+3 incompatible sketches, 4 unsupported statistic.
 """
 
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
-from dataclasses import dataclass
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .core import (
     Element,
     ElementValidationError,
     IncompatibleSketchError,
+    ParseError,
     UnsupportedStatisticError,
     aggregate,
     hash_keys,
@@ -35,6 +35,7 @@ from .estimators import (
 )
 from .mappers import choose_replication
 from .oracle import exact_statistic
+from .sketchfile import SketchFileHeader, unpack
 from .transforms import (
     THREE_POINT_STABLE,
     StatisticSpec,
@@ -45,61 +46,25 @@ from .transforms import (
     parse_statistic,
 )
 
-__all__ = ["main", "SketchFileHeader", "read_sketch_file", "write_sketch_file"]
-
-_FILE_MAGIC = b"FSK1"
-_FILE_VERSION = 1
-_FIXED = struct.Struct("<4sHBdIIQ")
+__all__ = ["main", "ParseError", "SketchFileHeader", "read_sketch_file", "write_sketch_file"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_UNSUPPORTED = 4
 
-_MODE_TAGS = {"point": 1, "combination": 2, "fullrange": 3, "signed": 4}
-_TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 
-
-class ParseError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SketchFileHeader:
-    mode: str
-    statistic: str
-    epsilon: float
-    r: int
-    k: int
-    seed: int
-
-
-def write_sketch_file(path: str, header: SketchFileHeader, body: bytes) -> None:
-    desc = header.statistic.encode()
-    blob = (
-        _FIXED.pack(_FILE_MAGIC, _FILE_VERSION, _MODE_TAGS[header.mode], header.epsilon, header.r, header.k, header.seed)
-        + struct.pack("<H", len(desc))
-        + desc
-        + body
-    )
-    with open(path, "wb") as fh:
-        fh.write(blob)
+def write_sketch_file(path: str, data: bytes) -> None:
+    Path(path).write_bytes(data)
 
 
 def read_sketch_file(path: str) -> tuple[SketchFileHeader, bytes]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _FIXED.size or data[:4] != _FILE_MAGIC:
-        raise ParseError(f"{path}: not a sketch file")
-    magic, version, tag, epsilon, r, k, seed = _FIXED.unpack_from(data)
-    if version != _FILE_VERSION:
-        raise ParseError(f"{path}: unsupported file version {version}")
-    off = _FIXED.size
-    (dlen,) = struct.unpack_from("<H", data, off)
-    off += 2
-    desc = data[off : off + dlen].decode()
-    off += dlen
-    return SketchFileHeader(_TAG_MODES[tag], desc, epsilon, r, k, seed), data[off:]
+    """The header and the bytes of a sketch file, checked whole."""
+    data = Path(path).read_bytes()
+    try:
+        return unpack(data)[0], data
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _read_elements(path: str):
@@ -140,31 +105,24 @@ def _signed_function(spec: StatisticSpec):
     raise UnsupportedStatisticError(f"statistic {spec.name!r} has no signed route")
 
 
-def _build_pipeline(mode: str, spec: StatisticSpec, epsilon: float, r: int, k: int, seed: int, base: int):
+def _route(mode: str, spec: StatisticSpec):
+    """Pipeline class for ``spec`` in a build or file mode, and its leading constructor arguments."""
     if mode == "point":
         if spec.name != "softcap":
-            raise UnsupportedStatisticError(
-                f"point mode measures softcapT statistics; got {spec.descriptor()!r}"
-            )
-        return PointPipeline.for_soft_cap(spec.params["T"], r, epsilon, k, seed, base), "point"
-    if mode == "combination":
+            raise UnsupportedStatisticError(f"point mode measures softcapT statistics; got {spec.descriptor()!r}")
+        return PointPipeline, (1.0 / spec.params["T"],)
+    if mode in ("combination", "signed"):
         if spec.name in ("cap", "cap1approx"):
-            return SignedCombinationPipeline(_signed_function(spec), r, epsilon, k, seed, base), "signed"
-        return CombinationPipeline(inverse_transform(spec), r, epsilon, k, seed, base), "combination"
+            return SignedCombinationPipeline, (_signed_function(spec),)
+        return CombinationPipeline, (inverse_transform(spec),)
     if mode == "fullrange":
-        return FullRangePipeline(r, epsilon, k, seed, base), "fullrange"
+        return FullRangePipeline, ()
     raise UnsupportedStatisticError(f"unknown mode {mode!r}")
 
 
-def _load_pipeline(header: SketchFileHeader, body: bytes):
-    spec = parse_statistic(header.statistic)
-    if header.mode == "point":
-        return PointPipeline.from_bytes(body)
-    if header.mode == "combination":
-        return CombinationPipeline.from_bytes(body, inverse_transform(spec))
-    if header.mode == "signed":
-        return SignedCombinationPipeline.from_bytes(body, _signed_function(spec))
-    return FullRangePipeline.from_bytes(body)
+def _load_pipeline(header: SketchFileHeader, data: bytes):
+    cls, head = _route(header.mode, parse_statistic(header.statistic))
+    return cls.from_bytes(data, *head)
 
 
 def _emitted(pipeline) -> int:
@@ -180,7 +138,8 @@ def _cmd_build(args) -> int:
     epsilon = args.epsilon
     k = args.k if args.k is not None else ceil(epsilon**-2)
     r = choose_replication(epsilon) if args.r == "auto" else int(args.r)
-    pipeline, mode = _build_pipeline(args.mode, spec, epsilon, r, k, args.seed, args.ordinal_base)
+    cls, head = _route(args.mode, spec)
+    pipeline = cls(*head, r, epsilon, k, args.seed, args.ordinal_base)
     n = 0
     # chunked batch ingestion; bit-identical to element-at-a-time
     chunk_keys: list[bytes] = []
@@ -194,25 +153,24 @@ def _cmd_build(args) -> int:
             chunk_keys, chunk_vals = [], []
     if chunk_keys:
         pipeline.ingest_batch(hash_keys(chunk_keys), np.array(chunk_vals))
-    header = SketchFileHeader(mode, spec.descriptor(), epsilon, r, k, args.seed)
-    write_sketch_file(args.output, header, pipeline.to_bytes())
+    write_sketch_file(args.output, pipeline.to_bytes(spec.descriptor()))
     print(f"elements: {n}")
     print(f"output elements: {_emitted(pipeline)}")
     return EXIT_OK
 
 
 def _cmd_merge(args) -> int:
-    headers_bodies = [read_sketch_file(p) for p in args.inputs]
-    base_header = headers_bodies[0][0]
-    for path, (header, _) in zip(args.inputs[1:], headers_bodies[1:]):
+    files = [read_sketch_file(p) for p in args.inputs]
+    base_header = files[0][0]
+    for path, (header, _) in zip(args.inputs[1:], files[1:]):
         for field in ("mode", "statistic", "epsilon", "r", "k", "seed"):
             a, b = getattr(base_header, field), getattr(header, field)
             if a != b:
                 raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
-    merged = _load_pipeline(base_header, headers_bodies[0][1])
-    for header, body in headers_bodies[1:]:
-        merged = merged.merge(_load_pipeline(header, body))
-    write_sketch_file(args.output, base_header, merged.to_bytes())
+    merged = _load_pipeline(*files[0])
+    for header, data in files[1:]:
+        merged = merged.merge(_load_pipeline(header, data))
+    write_sketch_file(args.output, merged.to_bytes(base_header.statistic))
     print(f"merged {len(args.inputs)} sketches")
     return EXIT_OK
 
@@ -249,27 +207,22 @@ def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: 
 
 
 def _cmd_estimate(args) -> int:
-    header, body = read_sketch_file(args.sketch)
-    pipeline = _load_pipeline(header, body)
+    header, data = read_sketch_file(args.sketch)
+    pipeline = _load_pipeline(header, data)
+    if header.mode != "fullrange" and (args.stat is not None or args.t is not None):
+        raise UnsupportedStatisticError(f"{header.mode} sketches answer only their build statistic")
     if header.mode == "point":
-        if args.stat is not None or args.t is not None:
-            raise UnsupportedStatisticError("point sketches answer only their build statistic")
         T = parse_statistic(header.statistic).params["T"]
         print(f"estimate: {T * pipeline.estimate():.10g}")
     elif header.mode == "combination":
-        if args.stat is not None or args.t is not None:
-            raise UnsupportedStatisticError("combination sketches answer only their build statistic")
         print(f"estimate: {pipeline.estimate():.10g}")
     elif header.mode == "signed":
-        if args.stat is not None or args.t is not None:
-            raise UnsupportedStatisticError("signed sketches answer only their build statistic")
         _print_signed(pipeline.estimate())
+    elif args.t is not None:
+        print(f"estimate: {pipeline.estimate_at(args.t):.10g}")
     else:
-        if args.t is not None:
-            print(f"estimate: {pipeline.estimate_at(args.t):.10g}")
-        else:
-            spec = parse_statistic(args.stat if args.stat is not None else header.statistic)
-            _fullrange_query(pipeline, spec, header.epsilon)
+        spec = parse_statistic(args.stat if args.stat is not None else header.statistic)
+        _fullrange_query(pipeline, spec, header.epsilon)
     return EXIT_OK
 
 

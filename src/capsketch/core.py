@@ -21,6 +21,7 @@ __all__ = [
     "IncompatibleSketchError",
     "UnsupportedStatisticError",
     "IllPosedTransformError",
+    "ParseError",
     "Element",
     "FrequencyDistribution",
     "aggregate",
@@ -49,6 +50,10 @@ class UnsupportedStatisticError(ValueError):
 
 class IllPosedTransformError(ValueError):
     """Raised when a signed coefficient function has a non-positive transform."""
+
+
+class ParseError(ValueError):
+    """Raised for malformed input lines and sketch files."""
 
 
 _M64 = (1 << 64) - 1

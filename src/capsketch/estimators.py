@@ -13,11 +13,12 @@ point and full-range pipelines byte-identical, and combination pipelines with
 the same sidelined keys and estimate. Every mode rejects the same values (not
 positive and finite, or so small that a draw overflows) before it changes any
 state, so a rejected call leaves the pipeline as it was.
+
+``to_bytes`` writes a sketch file; ``from_bytes`` takes t or the coefficient function as arguments.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import ceil, inf
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from .core import Element, IncompatibleSketchError, hash_key
 from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
+from .sketchfile import ENTRY, SketchFileHeader, pack, records, unpack
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
 from .transforms import CoefficientFunction, SignedCoefficientFunction
 
@@ -38,8 +40,6 @@ __all__ = [
     "soft_cap_estimate",
 ]
 
-_BLOB_LEN = struct.Struct("<I")
-
 # Seed perturbation for the negative-component pipeline of a signed estimate,
 # so the two measurements use independent draws.
 _MINUS_SEED_FLIP = 0x5851F42D4C957F2D
@@ -49,16 +49,6 @@ _LOW16 = np.uint64(0xFFFF)
 def _check_field(name: str, a, b):
     if a != b:
         raise IncompatibleSketchError(f"pipelines differ in {name}: {a!r} vs {b!r}")
-
-
-def _pack_blob(b: bytes) -> bytes:
-    return _BLOB_LEN.pack(len(b)) + b
-
-
-def _read_blob(data: bytes, off: int) -> tuple[bytes, int]:
-    (n,) = _BLOB_LEN.unpack_from(data, off)
-    off += _BLOB_LEN.size
-    return data[off : off + n], off + n
 
 
 def _lookup(pool: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,6 +111,17 @@ class _PipelineBase(_Ingest):
         are mapped, so a rejected batch is not counted."""
         return np.arange(self.ordinal_base + self.count, self.ordinal_base + self.count + n, dtype=np.uint64)
 
+    def _check_mergeable(self, other, *fields: str) -> None:
+        _check_field("type", type(self).__name__, type(other).__name__)
+        for name in (*fields, "r", "epsilon", "k", "seed"):
+            _check_field(name, getattr(self, name), getattr(other, name))
+
+    def _cfg(self) -> MapperConfig:
+        return MapperConfig(r=self.r, seed=self.seed)
+
+    def _header(self, mode: str, statistic: str) -> SketchFileHeader:
+        return SketchFileHeader(mode, statistic, self.epsilon, self.r, self.k, self.seed, self.ordinal_base, self.count)
+
 
 class PointPipeline(_PipelineBase):
     """Distinct-count measurement of the transform at a fixed threshold t."""
@@ -155,12 +156,7 @@ class PointPipeline(_PipelineBase):
     def merge(self, other: "PointPipeline") -> "PointPipeline":
         """Pure merge; the result keeps the smaller ordinal base, so merge
         output bytes do not depend on argument order."""
-        _check_field("type", type(self).__name__, type(other).__name__)
-        _check_field("t", self.t, other.t)
-        _check_field("r", self.r, other.r)
-        _check_field("epsilon", self.epsilon, other.epsilon)
-        _check_field("k", self.k, other.k)
-        _check_field("seed", self.seed, other.seed)
+        self._check_mergeable(other, "t")
         out = PointPipeline(self.t, self.r, self.epsilon, self.k, self.seed, min(self.ordinal_base, other.ordinal_base))
         out.counter = self.counter.merge(other.counter)
         out.sum_counter = self.sum_counter.merge(other.sum_counter)
@@ -176,22 +172,16 @@ class PointPipeline(_PipelineBase):
             return d / self.r
         return self.t * self.sum_counter.value()
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<BdIdIQQQ", 1, self.t, self.r, self.epsilon, self.k, self.seed, self.ordinal_base, self.count)
-        return head + _pack_blob(self.counter.to_bytes()) + _pack_blob(self.sum_counter.to_bytes())
+    def to_bytes(self, statistic: str = "") -> bytes:
+        return pack(self._header("point", statistic), [self.counter.to_bytes(), self.sum_counter.to_bytes()])
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "PointPipeline":
-        tag, t, r, epsilon, k, seed, base, count = struct.unpack_from("<BdIdIQQQ", data)
-        if tag != 1:
-            raise ValueError(f"not a point pipeline blob (tag {tag})")
-        off = struct.calcsize("<BdIdIQQQ")
-        dc_blob, off = _read_blob(data, off)
-        sum_blob, off = _read_blob(data, off)
-        out = cls(t, r, epsilon, k, seed, base)
-        out.counter = DistinctCounter.from_bytes(dc_blob)
-        out.sum_counter = SumCounter.from_bytes(sum_blob)
-        out.count = count
+    def from_bytes(cls, data: bytes, t: float) -> "PointPipeline":
+        h, (entries, total) = unpack(data, "point")
+        out = cls(t, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
+        out.counter = DistinctCounter.from_bytes(entries, h.k, h.seed)
+        out.sum_counter = SumCounter.from_bytes(total)
+        out.count = h.count
         return out
 
 
@@ -234,8 +224,12 @@ class CombinationPipeline(_PipelineBase):
         self.max_sketch = MaxDistinctSketch(k, seed)
         self.sidelined: dict[int, float] = {}
 
-    def _cfg(self) -> MapperConfig:
-        return MapperConfig(r=self.r, seed=self.seed)
+    def _side(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sidelined outkeys and their draws, in (draw, outkey) order."""
+        keys = np.fromiter(self.sidelined, dtype=np.uint64, count=len(self.sidelined))
+        ys = np.fromiter(self.sidelined.values(), dtype=np.float64, count=len(self.sidelined))
+        order = np.lexsort((keys, ys))
+        return keys[order], ys[order]
 
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -251,8 +245,7 @@ class CombinationPipeline(_PipelineBase):
         every other key to the max-distinct sketch at its draw's tail value."""
         if len(outkeys) == 0:
             return
-        side_keys = np.fromiter(self.sidelined, dtype=np.uint64, count=len(self.sidelined))
-        side_ys = np.fromiter(self.sidelined.values(), dtype=np.float64, count=len(self.sidelined))
+        side_keys, side_ys = self._side()
         hit, pos = _lookup(side_keys, outkeys)
         if hit.any():
             np.minimum.at(side_ys, pos[hit], ys[hit])
@@ -270,21 +263,14 @@ class CombinationPipeline(_PipelineBase):
             self.max_sketch.update_batch(keys[rest][keep], vals[keep])
 
     def merge(self, other: "CombinationPipeline") -> "CombinationPipeline":
-        _check_field("type", type(self).__name__, type(other).__name__)
+        self._check_mergeable(other)
         _check_field("coefficient function", self.a, other.a)
-        _check_field("r", self.r, other.r)
-        _check_field("epsilon", self.epsilon, other.epsilon)
-        _check_field("k", self.k, other.k)
-        _check_field("seed", self.seed, other.seed)
         out = CombinationPipeline(self.a, self.r, self.epsilon, self.k, self.seed, min(self.ordinal_base, other.ordinal_base))
         out.max_sketch = self.max_sketch.merge(other.max_sketch)
         out.sum_counter = self.sum_counter.merge(other.sum_counter)
         out.count = self.count + other.count
         out.sidelined = dict(self.sidelined)
-        out._absorb_batch(
-            np.fromiter(other.sidelined, dtype=np.uint64, count=len(other.sidelined)),
-            np.fromiter(other.sidelined.values(), dtype=np.float64, count=len(other.sidelined)),
-        )
+        out._absorb_batch(*other._side())
         return out
 
     def tau(self) -> float:
@@ -302,33 +288,30 @@ class CombinationPipeline(_PipelineBase):
         fed = self.max_sketch.merge(MaxDistinctSketch(self.k, self.seed))
         v = float(self.a.tail(tau))
         if v > 0.0:
-            keys = np.fromiter(self.sidelined, dtype=np.uint64, count=len(self.sidelined))
-            fed.update_batch(keys, np.full(len(keys), v))
+            fed.update_batch(self._side()[0], np.full(len(self.sidelined), v))
         return fed.estimate() / self.r + self.sum_counter.value() * float(self.a.head(tau))
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack(
-            "<BIdIQQQI", 2, self.r, self.epsilon, self.k, self.seed, self.ordinal_base, self.count, len(self.sidelined)
-        )
-        side = b"".join(struct.pack("<Qd", o, y) for y, o in sorted((y, o) for o, y in self.sidelined.items()))
-        return head + side + _pack_blob(self.max_sketch.to_bytes()) + _pack_blob(self.sum_counter.to_bytes())
+    def _sections(self) -> list[bytes]:
+        """The sidelined (outkey, draw) records, the max-distinct sketch and the sum."""
+        side = np.rec.fromarrays(self._side(), dtype=ENTRY).tobytes()
+        return [side, self.max_sketch.to_bytes(), self.sum_counter.to_bytes()]
+
+    def _load(self, sections: list[bytes], count: int) -> None:
+        side, entries, total = sections
+        rec = records(side, ENTRY)
+        self.sidelined = dict(zip(rec["outkey"].tolist(), rec["value"].tolist()))
+        self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.k, self.seed)
+        self.sum_counter = SumCounter.from_bytes(total)
+        self.count = count
+
+    def to_bytes(self, statistic: str = "") -> bytes:
+        return pack(self._header("combination", statistic), self._sections())
 
     @classmethod
     def from_bytes(cls, data: bytes, a: CoefficientFunction) -> "CombinationPipeline":
-        tag, r, epsilon, k, seed, base, count, nside = struct.unpack_from("<BIdIQQQI", data)
-        if tag != 2:
-            raise ValueError(f"not a combination pipeline blob (tag {tag})")
-        off = struct.calcsize("<BIdIQQQI")
-        out = cls(a, r, epsilon, k, seed, base)
-        for _ in range(nside):
-            o, y = struct.unpack_from("<Qd", data, off)
-            off += 16
-            out.sidelined[int(o)] = float(y)
-        md_blob, off = _read_blob(data, off)
-        sum_blob, off = _read_blob(data, off)
-        out.max_sketch = MaxDistinctSketch.from_bytes(md_blob)
-        out.sum_counter = SumCounter.from_bytes(sum_blob)
-        out.count = count
+        h, sections = unpack(data, "combination")
+        out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
+        out._load(sections, h.count)
         return out
 
 
@@ -340,9 +323,6 @@ class FullRangePipeline(_PipelineBase):
         super().__init__(r, epsilon, k, seed, ordinal_base)
         self.threshold_sketch = AllThresholdSketch(k, seed)
 
-    def _cfg(self) -> MapperConfig:
-        return MapperConfig(r=self.r, seed=self.seed)
-
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
@@ -352,11 +332,7 @@ class FullRangePipeline(_PipelineBase):
         self.sum_counter.update_batch(values)
 
     def merge(self, other: "FullRangePipeline") -> "FullRangePipeline":
-        _check_field("type", type(self).__name__, type(other).__name__)
-        _check_field("r", self.r, other.r)
-        _check_field("epsilon", self.epsilon, other.epsilon)
-        _check_field("k", self.k, other.k)
-        _check_field("seed", self.seed, other.seed)
+        self._check_mergeable(other)
         out = FullRangePipeline(self.r, self.epsilon, self.k, self.seed, min(self.ordinal_base, other.ordinal_base))
         out.threshold_sketch = self.threshold_sketch.merge(other.threshold_sketch)
         out.sum_counter = self.sum_counter.merge(other.sum_counter)
@@ -409,22 +385,16 @@ class FullRangePipeline(_PipelineBase):
             total += float(np.dot(raw[start:] / self.r, seg))
         return total
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<BIdIQQQ", 3, self.r, self.epsilon, self.k, self.seed, self.ordinal_base, self.count)
-        return head + _pack_blob(self.threshold_sketch.to_bytes()) + _pack_blob(self.sum_counter.to_bytes())
+    def to_bytes(self, statistic: str = "") -> bytes:
+        return pack(self._header("fullrange", statistic), [self.threshold_sketch.to_bytes(), self.sum_counter.to_bytes()])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FullRangePipeline":
-        tag, r, epsilon, k, seed, base, count = struct.unpack_from("<BIdIQQQ", data)
-        if tag != 3:
-            raise ValueError(f"not a full-range pipeline blob (tag {tag})")
-        off = struct.calcsize("<BIdIQQQ")
-        at_blob, off = _read_blob(data, off)
-        sum_blob, off = _read_blob(data, off)
-        out = cls(r, epsilon, k, seed, base)
-        out.threshold_sketch = AllThresholdSketch.from_bytes(at_blob)
-        out.sum_counter = SumCounter.from_bytes(sum_blob)
-        out.count = count
+        h, (entries, total) = unpack(data, "fullrange")
+        out = cls(h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
+        out.threshold_sketch = AllThresholdSketch.from_bytes(entries, h.k, h.seed)
+        out.sum_counter = SumCounter.from_bytes(total)
+        out.count = h.count
         return out
 
 
@@ -510,19 +480,14 @@ class SignedCombinationPipeline(_Ingest):
             eps_minus=self.minus.epsilon,
         )
 
-    def to_bytes(self) -> bytes:
-        return struct.pack("<B", 4) + _pack_blob(self.plus.to_bytes()) + _pack_blob(self.minus.to_bytes())
+    def to_bytes(self, statistic: str = "") -> bytes:
+        """Both parts' sections under the positive part's header (the negative part's seed is derived)."""
+        return pack(self.plus._header("signed", statistic), self.plus._sections() + self.minus._sections())
 
     @classmethod
     def from_bytes(cls, data: bytes, a: SignedCoefficientFunction) -> "SignedCombinationPipeline":
-        (tag,) = struct.unpack_from("<B", data)
-        if tag != 4:
-            raise ValueError(f"not a signed combination blob (tag {tag})")
-        off = 1
-        plus_blob, off = _read_blob(data, off)
-        minus_blob, off = _read_blob(data, off)
-        out = cls.__new__(cls)
-        out.signed = a
-        out.plus = CombinationPipeline.from_bytes(plus_blob, a.plus)
-        out.minus = CombinationPipeline.from_bytes(minus_blob, a.minus)
+        h, sections = unpack(data, "signed")
+        out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
+        out.plus._load(sections[:3], h.count)
+        out.minus._load(sections[3:], h.count)
         return out

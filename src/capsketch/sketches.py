@@ -14,40 +14,29 @@ Updates, merges and reads all concatenate entry arrays and apply the
 sketch's retention rule, so the state is a pure function of the entry set:
 merge order and input sharding never change the result, and a merged sketch
 is byte-identical to the single-pass sketch over the concatenated stream. A
-scalar ``update`` is a one-element ``update_batch``. Instances are
-single-writer; readers are safe between updates.
+scalar ``update`` is a one-element ``update_batch``. ``to_bytes`` writes bare
+entry records, so ``from_bytes`` takes ``k`` and ``seed`` from the caller.
+Instances are single-writer; readers are safe between updates.
 """
 
 from __future__ import annotations
 
 import heapq
-import struct
 from fractions import Fraction
 from math import expm1, inf
 
 import numpy as np
 
-from .core import IncompatibleSketchError, rank_uniforms
+from .core import IncompatibleSketchError, ParseError, rank_uniforms
+from .sketchfile import ENTRY, OUTKEY, records
 
 __all__ = [
     "DistinctCounter",
     "MaxDistinctSketch",
     "AllThresholdSketch",
     "SumCounter",
-    "load_sketch",
 ]
 
-_MAGIC = b"CSK1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBBIQI")
-_TYPE_DISTINCT = 1
-_TYPE_MAXDISTINCT = 2
-_TYPE_ALLTHRESHOLD = 3
-_TYPE_SUM = 4
-# One serialized entry: the distinct counter writes outkeys only, the other
-# two sketches each key's value after it.
-_KEY_RECORD = np.dtype([("outkey", "<u8")])
-_RECORD = np.dtype([("outkey", "<u8"), ("value", "<f8")])
 # Entries per step of a batch update of the distinct and max-distinct sketches.
 _CHUNK_ENTRIES = 1 << 16
 
@@ -63,23 +52,6 @@ def _check_compatible(a, b):
         raise IncompatibleSketchError(f"sketch size mismatch: k={a.k} vs k={b.k}")
     if a.seed != b.seed:
         raise IncompatibleSketchError(f"sketch seed mismatch: {a.seed} vs {b.seed}")
-
-
-def _pack_header(type_tag: int, k: int, seed: int, count: int) -> bytes:
-    return _HEADER.pack(_MAGIC, _VERSION, type_tag, k, seed, count)
-
-
-def _unpack_header(data: bytes, expect_tag: int | None = None):
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated sketch blob")
-    magic, version, tag, k, seed, count = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise ValueError(f"bad sketch magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"unsupported sketch format version {version}")
-    if expect_tag is not None and tag != expect_tag:
-        raise IncompatibleSketchError(f"sketch type tag {tag} does not match expected {expect_tag}")
-    return tag, k, seed, count
 
 
 def _rank_cut(keys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
@@ -173,8 +145,6 @@ class _BottomK:
     :meth:`_retain`, the sketch's retention rule.
     """
 
-    TYPE_TAG: int
-
     def __init__(self, k: int, seed: int = 0):
         if int(k) < 1:
             raise ValueError(f"sketch size k must be >= 1, got {k}")
@@ -216,25 +186,12 @@ class _BottomK:
         out._add(other._entries, other._ranks, other._values)
         return out
 
-    def _write(self, record: np.dtype) -> bytes:
-        """Header, then one record per entry; a record without a value field
-        leaves the value out."""
-        rec = np.empty(len(self), dtype=record)
-        rec["outkey"] = self._entries
-        if "value" in record.names:
-            rec["value"] = self._values
-        return _pack_header(self.TYPE_TAG, self.k, self.seed, len(self)) + rec.tobytes()
-
     @classmethod
-    def _read(cls, data: bytes, record: np.dtype):
-        """Sketch holding the entries of a blob written by :meth:`_write`;
-        records without a value field hold value 1."""
-        _, k, seed, count = _unpack_header(data, cls.TYPE_TAG)
-        rec = np.frombuffer(data, dtype=record, count=count, offset=_HEADER.size)
-        okeys = rec["outkey"].astype(np.uint64)
-        values = rec["value"].astype(np.float64) if "value" in record.names else np.ones(count)
+    def _read(cls, okeys: np.ndarray, values: np.ndarray, k: int, seed: int):
+        """Sketch of size k and seed retaining the given entries."""
+        okeys = okeys.astype(np.uint64)
         sk = cls(k, seed)
-        sk._add(okeys, _base_ranks(okeys, seed), values)
+        sk._add(okeys, _base_ranks(okeys, seed), values.astype(np.float64))
         return sk
 
 
@@ -245,8 +202,6 @@ class DistinctCounter(_BottomK):
     where R_k is the k-th smallest base rank, which is the classical k-minimum
     -values estimator with CV about 1/sqrt(k-2).
     """
-
-    TYPE_TAG = _TYPE_DISTINCT
 
     def update(self, outkey: int) -> None:
         self.update_batch(np.array([outkey], dtype=np.uint64))
@@ -267,11 +222,12 @@ class DistinctCounter(_BottomK):
         return (self.k - 1) / -expm1(-float(self._ranks[-1]))
 
     def to_bytes(self) -> bytes:
-        return self._write(_KEY_RECORD)
+        return self._entries.astype(OUTKEY).tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "DistinctCounter":
-        return cls._read(data, _KEY_RECORD)
+    def from_bytes(cls, data: bytes, k: int, seed: int = 0) -> "DistinctCounter":
+        okeys = records(data, OUTKEY)
+        return cls._read(okeys, np.ones(len(okeys)), k, seed)
 
 
 class MaxDistinctSketch(_BottomK):
@@ -283,8 +239,6 @@ class MaxDistinctSketch(_BottomK):
     correctly if a larger value arrives later. Exact below k keys; saturated
     estimate (k-1)/R_k.
     """
-
-    TYPE_TAG = _TYPE_MAXDISTINCT
 
     def update(self, outkey: int, value: float) -> None:
         self.update_batch(np.array([outkey], dtype=np.uint64), np.array([value], dtype=np.float64))
@@ -307,11 +261,12 @@ class MaxDistinctSketch(_BottomK):
         return (self.k - 1) / float(self._ranks[-1] / self._values[-1])
 
     def to_bytes(self) -> bytes:
-        return self._write(_RECORD)
+        return np.rec.fromarrays([self._entries, self._values], dtype=ENTRY).tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "MaxDistinctSketch":
-        return cls._read(data, _RECORD)
+    def from_bytes(cls, data: bytes, k: int, seed: int = 0) -> "MaxDistinctSketch":
+        rec = records(data, ENTRY)
+        return cls._read(rec["outkey"], rec["value"], k, seed)
 
 
 class AllThresholdSketch(_BottomK):
@@ -325,8 +280,6 @@ class AllThresholdSketch(_BottomK):
     exactly like a bottom-k counter built at that threshold. Expected size is
     O(k log(n/k)).
     """
-
-    TYPE_TAG = _TYPE_ALLTHRESHOLD
 
     def __init__(self, k: int, seed: int = 0):
         super().__init__(k, seed)
@@ -410,11 +363,12 @@ class AllThresholdSketch(_BottomK):
         return self._merged(other)
 
     def to_bytes(self) -> bytes:
-        return self._write(_RECORD)
+        return np.rec.fromarrays([self._entries, self._values], dtype=ENTRY).tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "AllThresholdSketch":
-        return cls._read(data, _RECORD)
+    def from_bytes(cls, data: bytes, k: int, seed: int = 0) -> "AllThresholdSketch":
+        rec = records(data, ENTRY)
+        return cls._read(rec["outkey"], rec["value"], k, seed)
 
 
 class SumCounter:
@@ -424,10 +378,6 @@ class SumCounter:
     addition is associative and merges are byte-identical to single-pass
     accumulation regardless of how the stream was partitioned.
     """
-
-    TYPE_TAG = _TYPE_SUM
-    k = 0
-    seed = 0
 
     def __init__(self):
         self._total = Fraction(0)
@@ -441,9 +391,9 @@ class SumCounter:
             return
         if not np.all((values > 0.0) & (values < inf)):
             raise ValueError("summed values must be positive and finite")
-        as_int = values.astype(np.int64)
-        if np.all(as_int == values):
-            self._total += int(as_int.sum(dtype=object))
+        # integers below 2**63 sum exactly as int64; larger ones go by exponent
+        if values.max() < 2.0**63 and np.all(values == np.trunc(values)):
+            self._total += int(values.astype(np.int64).sum(dtype=object))
             return
         mant, exp = np.frexp(values)
         mi = np.round(mant * 2.0**53).astype(np.int64)
@@ -461,47 +411,24 @@ class SumCounter:
         return out
 
     def value(self) -> float:
-        return float(self._total)
+        """The sum as a float; inf beyond the largest float."""
+        try:
+            return float(self._total)
+        except OverflowError:
+            return inf
 
     def exact(self) -> Fraction:
         return self._total
 
     def to_bytes(self) -> bytes:
-        num, den = self._total.numerator, self._total.denominator
-        nb = num.to_bytes((num.bit_length() + 7) // 8 or 1, "little", signed=False)
-        db = den.to_bytes((den.bit_length() + 7) // 8 or 1, "little", signed=False)
-        return (
-            _pack_header(self.TYPE_TAG, 0, 0, 0)
-            + struct.pack("<II", len(nb), len(db))
-            + nb
-            + db
-        )
+        """The exact sum as ASCII ``numerator/denominator``."""
+        return str(self._total).encode()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SumCounter":
-        _unpack_header(data, cls.TYPE_TAG)
-        off = _HEADER.size
-        nlen, dlen = struct.unpack_from("<II", data, off)
-        off += 8
-        num = int.from_bytes(data[off : off + nlen], "little")
-        den = int.from_bytes(data[off + nlen : off + nlen + dlen], "little")
         out = cls()
-        out._total = Fraction(num, den)
+        try:
+            out._total = Fraction(data.decode("ascii"))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"malformed sum {data[:40]!r}") from None
         return out
-
-
-_TYPES = {
-    _TYPE_DISTINCT: DistinctCounter,
-    _TYPE_MAXDISTINCT: MaxDistinctSketch,
-    _TYPE_ALLTHRESHOLD: AllThresholdSketch,
-    _TYPE_SUM: SumCounter,
-}
-
-
-def load_sketch(data: bytes):
-    """Deserialize any sketch blob, dispatching on its type tag."""
-    tag, _, _, _ = _unpack_header(data)
-    cls = _TYPES.get(tag)
-    if cls is None:
-        raise ValueError(f"unknown sketch type tag {tag}")
-    return cls.from_bytes(data)

@@ -123,7 +123,6 @@ def prefix_bottom_k(pairs, k: int, seed: int) -> list[tuple[int, float]]:
     return [(o, y) for _, o, y in sorted(kept)]
 
 
-def sketch_blob(type_tag: int, k: int, seed: int, entries, entry_format: str) -> bytes:
-    """Sketch bytes: the header, then each entry packed with ``entry_format``."""
-    head = struct.pack("<4sBBIQI", b"CSK1", 1, type_tag, k, seed, len(entries))
-    return head + b"".join(struct.pack(entry_format, *e) for e in entries)
+def sketch_blob(entries, entry_format: str) -> bytes:
+    """Sketch bytes: each entry packed with ``entry_format``."""
+    return b"".join(struct.pack(entry_format, *e) for e in entries)

@@ -43,7 +43,7 @@ def test_build_estimate_round_trip(tmp_path, toy_tsv, toy_elements):
         pipe.ingest(e)
     header, body = read_sketch_file(str(out))
     assert header.statistic == "softcapT=2"
-    assert body == pipe.to_bytes()
+    assert body == pipe.to_bytes("softcapT=2")
 
 
 def test_cli_output_counts(capsys, tmp_path, toy_tsv):
@@ -251,3 +251,15 @@ def test_bench_command(capsys, tmp_path):
         cells = line.split(",")
         exact, mean_est, _, nrmse_approx = (float(c) for c in cells[4:])
         assert nrmse_approx == pytest.approx(abs(mean_est - exact) / exact, rel=1e-4)
+
+
+def test_huge_sum_estimates_inf(capsys, tmp_path):
+    # the exact sum of two 1e308 values exceeds the largest float
+    tsv = tmp_path / "big.tsv"
+    tsv.write_text("a\t1e308\nb\t1e308\n")
+    out = tmp_path / "big.fsk"
+    code, _, err = run(capsys, "build", str(tsv), "--mode", "fullrange", "--stat", "sum", "-o", str(out))
+    assert code == 0 and err == ""
+    code, stdout, err = run(capsys, "estimate", str(out), "--stat", "sum")
+    assert code == 0 and err == ""
+    assert stdout == "estimate: inf\n"

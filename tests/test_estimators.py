@@ -103,6 +103,21 @@ def test_point_merge_equals_single_pass(toy_elements):
     assert merged.estimate() == full.estimate()
 
 
+@pytest.mark.xfail(strict=True, reason="shards at the same ordinal base share their draws")
+def test_merge_of_shards_at_one_ordinal_base_is_unbiased():
+    # Two shards each hold key x once, both at the default ordinal base 0.
+    # The union holds x at weight 2, so the transform at t=0.5 is 1 - e^-1;
+    # identical draws make the merge measure weight 1 (1 - e^-0.5, 0.393).
+    estimates = []
+    for seed in range(200):
+        a, b = (PointPipeline(t=0.5, r=400, epsilon=0.5, k=1000, seed=seed) for _ in range(2))
+        a.ingest(Element(b"x", 1.0))
+        b.ingest(Element(b"x", 1.0))
+        estimates.append(a.merge(b).estimate())
+    # each estimate has a standard deviation of about 0.024, their mean 0.0017
+    assert np.mean(estimates) == pytest.approx(1.0 - math.exp(-1.0), abs=0.01)
+
+
 def test_soft_cap_estimate_wiring(toy_dist, toy_elements):
     T = 2.0
     p = PointPipeline.for_soft_cap(T, r=80, epsilon=0.3, k=5000, seed=4)
@@ -380,7 +395,7 @@ def test_pipeline_serialization_round_trips(toy_elements):
     k64, vals = _hash_elements(toy_elements)
     p = PointPipeline(t=0.5, r=3, epsilon=0.2, k=32, seed=1)
     p.ingest_batch(k64, vals)
-    assert PointPipeline.from_bytes(p.to_bytes()).to_bytes() == p.to_bytes()
+    assert PointPipeline.from_bytes(p.to_bytes(), p.t).to_bytes() == p.to_bytes()
     a = inverse_transform("log1p")
     c = CombinationPipeline(a, r=3, epsilon=0.4, k=32, seed=1)
     c.ingest_batch(k64, vals)

@@ -26,11 +26,12 @@ ROUTES = {
     "signed": ("combination", "capT=5"),
 }
 
+# Sketch file layout version 2.
 GOLDEN_SHA256 = {
-    "point": "4194da7a9e66ab180ea3b916839f312e731196f89fb7d1ac1ef582bae51c75a5",
-    "fullrange": "15cc21d351a3c1132f8f458899e8986cf83c44b41b0b5a395d89c14bd74f7daf",
-    "combination": "176e67b155c4170f4e76d50d8770acaae85492131fe001afdf1047c4777ebe83",
-    "signed": "d9c91b0e5ff4aa83f01d96bd2a680d903b6e234554f7f29a960ac47c024aef19",
+    "point": "3d64bbf1627bbdf9a956a1f0d17bb0281cbf9620392397692cc38f8edf8b13d9",
+    "fullrange": "eed27cfac14b133420bff955feee65cc7572543ff3141c21672cc3ef676191fe",
+    "combination": "f5818b8a6277480c6a3c2b139d371d5f4a06c9801606cf303f72b20cde933396",
+    "signed": "c0dc3f08d73b08b66876506a0be352c1b2d6c3ed71be1cf414d715d6b5695097",
 }
 
 # Full stdout of `capsketch estimate` on each golden build, by route and query
