@@ -2,17 +2,20 @@
 files, query estimates, evaluate the exact oracle, and run the benchmark.
 
 Input format is tab-separated ``key<TAB>value`` lines; the value column is
-optional and defaults to 1. Keys are raw bytes up to the first tab.
+optional and defaults to 1. Keys are raw bytes up to the first tab. Blank
+lines are skipped but counted in line numbers.
 
-Exit codes: 0 success, 2 parse error (a malformed line or sketch file),
-3 incompatible sketches, 4 unsupported statistic.
+Exit codes: 0 success, 2 parse error (a malformed line, sketch file or
+build option), 3 incompatible sketches, 4 unsupported statistic.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from math import ceil
+from itertools import islice
+from math import ceil, inf
 from pathlib import Path
 
 import numpy as np
@@ -53,45 +56,76 @@ EXIT_PARSE = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_UNSUPPORTED = 4
 
+# Non-blank input lines per ingested batch. A combination file depends on
+# where batches split, so changing this changes its bytes.
+CHUNK = 8192
+
 
 def write_sketch_file(path: str, data: bytes) -> None:
     Path(path).write_bytes(data)
 
 
-def read_sketch_file(path: str) -> tuple[SketchFileHeader, bytes]:
-    """The header and the bytes of a sketch file, checked whole."""
+def read_sketch_file(path: str) -> tuple[SketchFileHeader, list[bytes]]:
+    """The header and the sections of a sketch file, checked whole."""
     data = Path(path).read_bytes()
     try:
-        return unpack(data)[0], data
+        return unpack(data)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _read_elements(path: str):
-    """Parse TSV lines into elements; raises ParseError with the line number."""
-    fh = sys.stdin.buffer if path == "-" else open(path, "rb")
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip(b"\r\n")
-            if not line:
-                continue
-            key, _, rest = line.partition(b"\t")
-            if not key:
-                raise ParseError(f"line {lineno}: empty key")
-            if rest:
-                try:
-                    value = float(rest)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad value {rest!r}") from None
-            else:
-                value = 1.0
+def _parse_lines(raw: list[bytes], lineno: int) -> tuple[list[bytes], np.ndarray]:
+    """Keys and values of raw lines numbered from ``lineno``, one at a time; raises the first bad line's ParseError."""
+    keys, values = [], []
+    for lineno, line in enumerate(raw, start=lineno):
+        key, tab, rest = line.rstrip(b"\r\n").partition(b"\t")
+        if not (key or tab):
+            continue
+        if not key:
+            raise ParseError(f"line {lineno}: empty key")
+        try:
+            value = float(rest) if rest else 1.0
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad value {rest!r}") from None
+        try:
+            Element(key, value)
+        except ElementValidationError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        keys.append(key)
+        values.append(value)
+    return keys, np.array(values)
+
+
+def _read_chunks(path: str):
+    """Keys and values of a TSV input, CHUNK non-blank lines at a time. A
+    chunk is split, converted and checked as a whole; one that fails is parsed
+    again line by line, which raises the ParseError of its first bad line or
+    accepts a mix of lines with and without a value column."""
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        lineno = 1
+        while True:
+            raw, lines = [], []  # blank lines are in raw, not in lines
+            while len(lines) < CHUNK and (more := list(islice(fh, CHUNK - len(lines)))):
+                raw += more
+                lines += [s for line in more if (s := line.rstrip(b"\r\n"))]
+            if not lines:
+                return
+            # per-line tuples die at once, sparing the garbage collector; with no tab, a key is its line
+            keys = [line.partition(b"\t")[0] for line in lines]
             try:
-                yield Element(key, value)
-            except ElementValidationError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-    finally:
-        if path != "-":
-            fh.close()
+                values = np.ones(len(keys)) if keys == lines else np.array([float(line.partition(b"\t")[2]) for line in lines])
+            except ValueError:
+                values = None
+            if values is None or not all(keys) or not np.all((values > 0.0) & (values < inf)):
+                keys, values = _parse_lines(raw, lineno)
+            yield keys, values
+            lineno += len(raw)
+
+
+def _key_hashes(keys) -> np.ndarray:
+    """``hash_keys(keys)``, hashing each distinct key once."""
+    at = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return hash_keys(at)[np.fromiter(map(at.__getitem__, keys), np.intp, len(keys))]
 
 
 def _signed_function(spec: StatisticSpec):
@@ -120,9 +154,9 @@ def _route(mode: str, spec: StatisticSpec):
     raise UnsupportedStatisticError(f"unknown mode {mode!r}")
 
 
-def _load_pipeline(header: SketchFileHeader, data: bytes):
+def _load_pipeline(header: SketchFileHeader, sections: list[bytes]):
     cls, head = _route(header.mode, parse_statistic(header.statistic))
-    return cls.from_bytes(data, *head)
+    return cls.from_sections(header, sections, *head)
 
 
 def _emitted(pipeline) -> int:
@@ -135,24 +169,24 @@ def _emitted(pipeline) -> int:
 
 def _cmd_build(args) -> int:
     spec = parse_statistic(args.stat)
-    epsilon = args.epsilon
-    k = args.k if args.k is not None else ceil(epsilon**-2)
-    r = choose_replication(epsilon) if args.r == "auto" else int(args.r)
+    # options a sketch file cannot hold exit 2 before any input is read
+    if not 0.0 < args.epsilon < 1.0:
+        raise ParseError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
+    try:
+        r = choose_replication(args.epsilon) if args.r == "auto" else int(args.r)
+    except ValueError:
+        raise ParseError(f"--r must be 'auto' or an integer, got {args.r!r}") from None
+    k = ceil(args.epsilon**-2) if args.k is None else args.k
+    fields = (("--r", r, 1, 32), ("--k", k, 1, 32), ("--seed", args.seed, 0, 64), ("--ordinal-base", args.ordinal_base, 0, 64))
+    for name, value, low, bits in fields:  # the header's field widths
+        if not low <= value < 2**bits:
+            raise ParseError(f"{name} must lie in [{low}, 2**{bits}), got {value}")
     cls, head = _route(args.mode, spec)
-    pipeline = cls(*head, r, epsilon, k, args.seed, args.ordinal_base)
+    pipeline = cls(*head, r, args.epsilon, k, args.seed, args.ordinal_base)
     n = 0
-    # chunked batch ingestion; bit-identical to element-at-a-time
-    chunk_keys: list[bytes] = []
-    chunk_vals: list[float] = []
-    for e in _read_elements(args.input):
-        chunk_keys.append(e.key)
-        chunk_vals.append(e.value)
-        n += 1
-        if len(chunk_keys) >= 8192:
-            pipeline.ingest_batch(hash_keys(chunk_keys), np.array(chunk_vals))
-            chunk_keys, chunk_vals = [], []
-    if chunk_keys:
-        pipeline.ingest_batch(hash_keys(chunk_keys), np.array(chunk_vals))
+    for keys, values in _read_chunks(args.input):
+        pipeline.ingest_batch(_key_hashes(keys), values)
+        n += len(keys)
     write_sketch_file(args.output, pipeline.to_bytes(spec.descriptor()))
     print(f"elements: {n}")
     print(f"output elements: {_emitted(pipeline)}")
@@ -168,8 +202,8 @@ def _cmd_merge(args) -> int:
             if a != b:
                 raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
     merged = _load_pipeline(*files[0])
-    for header, data in files[1:]:
-        merged = merged.merge(_load_pipeline(header, data))
+    for header, sections in files[1:]:
+        merged = merged.merge(_load_pipeline(header, sections))
     write_sketch_file(args.output, merged.to_bytes(base_header.statistic))
     print(f"merged {len(args.inputs)} sketches")
     return EXIT_OK
@@ -207,8 +241,8 @@ def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: 
 
 
 def _cmd_estimate(args) -> int:
-    header, data = read_sketch_file(args.sketch)
-    pipeline = _load_pipeline(header, data)
+    header, sections = read_sketch_file(args.sketch)
+    pipeline = _load_pipeline(header, sections)
     if header.mode != "fullrange" and (args.stat is not None or args.t is not None):
         raise UnsupportedStatisticError(f"{header.mode} sketches answer only their build statistic")
     if header.mode == "point":
@@ -228,7 +262,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_exact(args) -> int:
     spec = parse_statistic(args.stat)
-    dist = aggregate(_read_elements(args.input))
+    dist = aggregate(pair for keys, values in _read_chunks(args.input) for pair in zip(keys, values.tolist()))
     print(f"exact: {exact_statistic(dist, spec):.10g}")
     return EXIT_OK
 

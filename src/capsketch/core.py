@@ -107,7 +107,8 @@ def hash_key(key: bytes) -> int:
 
 def hash_keys(keys: Iterable[bytes]) -> np.ndarray:
     """Vector form of :func:`hash_key`; returns a uint64 array."""
-    return np.fromiter((hash_key(k) for k in keys), dtype=np.uint64)
+    digests = b"".join([hashlib.blake2b(k, digest_size=8).digest() for k in keys])
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 
 def outkey_for(key64: int, i: int) -> int:

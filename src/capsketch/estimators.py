@@ -14,7 +14,7 @@ the same sidelined keys and estimate. Every mode rejects the same values (not
 positive and finite, or so small that a draw overflows) before it changes any
 state, so a rejected call leaves the pipeline as it was.
 
-``to_bytes`` writes a sketch file; ``from_bytes`` takes t or the coefficient function as arguments.
+``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one, given t or the coefficient function.
 """
 
 from __future__ import annotations
@@ -79,15 +79,20 @@ def _smallest(keys: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
     return idx[np.lexsort((keys[idx], ys[idx]))][:m]
 
 
-class _Ingest:
-    """Element-at-a-time ingestion, as a one-element batch."""
+class _Pipeline:
+    """Shared by every pipeline: ``ingest`` as a one-element batch, and reading a file of its ``MODE``."""
 
     def ingest(self, e: Element) -> None:
         e = e if isinstance(e, Element) else Element(*e)
         self.ingest_batch(np.array([hash_key(e.key)], dtype=np.uint64), np.array([e.value]))
 
+    @classmethod
+    def from_bytes(cls, data: bytes, *head):
+        """The pipeline a file of this ``MODE`` holds; ``head`` as for ``from_sections``."""
+        return cls.from_sections(*unpack(data, cls.MODE), *head)
 
-class _PipelineBase(_Ingest):
+
+class _PipelineBase(_Pipeline):
     """Shared ingest bookkeeping: ordinal assignment and the exact sum."""
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
@@ -125,6 +130,8 @@ class _PipelineBase(_Ingest):
 
 class PointPipeline(_PipelineBase):
     """Distinct-count measurement of the transform at a fixed threshold t."""
+
+    MODE = "point"
 
     def __init__(self, t: float, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
         super().__init__(r, epsilon, k, seed, ordinal_base)
@@ -173,11 +180,11 @@ class PointPipeline(_PipelineBase):
         return self.t * self.sum_counter.value()
 
     def to_bytes(self, statistic: str = "") -> bytes:
-        return pack(self._header("point", statistic), [self.counter.to_bytes(), self.sum_counter.to_bytes()])
+        return pack(self._header(self.MODE, statistic), [self.counter.to_bytes(), self.sum_counter.to_bytes()])
 
     @classmethod
-    def from_bytes(cls, data: bytes, t: float) -> "PointPipeline":
-        h, (entries, total) = unpack(data, "point")
+    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], t: float) -> "PointPipeline":
+        entries, total = sections
         out = cls(t, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
         out.counter = DistinctCounter.from_bytes(entries, h.k, h.seed)
         out.sum_counter = SumCounter.from_bytes(total)
@@ -204,6 +211,8 @@ class CombinationPipeline(_PipelineBase):
     sidelined keys are fed at the tail integral of the cutoff and the head of
     the coefficient function is covered by the exact sum.
     """
+
+    MODE = "combination"
 
     def __init__(
         self,
@@ -305,11 +314,10 @@ class CombinationPipeline(_PipelineBase):
         self.count = count
 
     def to_bytes(self, statistic: str = "") -> bytes:
-        return pack(self._header("combination", statistic), self._sections())
+        return pack(self._header(self.MODE, statistic), self._sections())
 
     @classmethod
-    def from_bytes(cls, data: bytes, a: CoefficientFunction) -> "CombinationPipeline":
-        h, sections = unpack(data, "combination")
+    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], a: CoefficientFunction) -> "CombinationPipeline":
         out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
         out._load(sections, h.count)
         return out
@@ -318,6 +326,8 @@ class CombinationPipeline(_PipelineBase):
 class FullRangePipeline(_PipelineBase):
     """All-threshold measurement: one sketch answering every threshold and
     any nonnegative coefficient combination after the fact."""
+
+    MODE = "fullrange"
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
         super().__init__(r, epsilon, k, seed, ordinal_base)
@@ -372,7 +382,7 @@ class FullRangePipeline(_PipelineBase):
             total += mass * self.estimate_at(loc)
         if a.parts:
             cont = CoefficientFunction(parts=a.parts)
-            ys, _, _ = self.threshold_sketch._build_profile()
+            ys = self.threshold_sketch.breakpoints()
             if ys.size == 0:
                 return total
             raw = self.threshold_sketch.estimate_all(ys)
@@ -386,11 +396,11 @@ class FullRangePipeline(_PipelineBase):
         return total
 
     def to_bytes(self, statistic: str = "") -> bytes:
-        return pack(self._header("fullrange", statistic), [self.threshold_sketch.to_bytes(), self.sum_counter.to_bytes()])
+        return pack(self._header(self.MODE, statistic), [self.threshold_sketch.to_bytes(), self.sum_counter.to_bytes()])
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "FullRangePipeline":
-        h, (entries, total) = unpack(data, "fullrange")
+    def from_sections(cls, h: SketchFileHeader, sections: list[bytes]) -> "FullRangePipeline":
+        entries, total = sections
         out = cls(h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
         out.threshold_sketch = AllThresholdSketch.from_bytes(entries, h.k, h.seed)
         out.sum_counter = SumCounter.from_bytes(total)
@@ -436,9 +446,11 @@ def signed_estimate(
     )
 
 
-class SignedCombinationPipeline(_Ingest):
+class SignedCombinationPipeline(_Pipeline):
     """Two combination pipelines measuring the positive and negative parts of
     a signed coefficient function, with independent draws."""
+
+    MODE = "signed"
 
     def __init__(
         self,
@@ -482,11 +494,10 @@ class SignedCombinationPipeline(_Ingest):
 
     def to_bytes(self, statistic: str = "") -> bytes:
         """Both parts' sections under the positive part's header (the negative part's seed is derived)."""
-        return pack(self.plus._header("signed", statistic), self.plus._sections() + self.minus._sections())
+        return pack(self.plus._header(self.MODE, statistic), self.plus._sections() + self.minus._sections())
 
     @classmethod
-    def from_bytes(cls, data: bytes, a: SignedCoefficientFunction) -> "SignedCombinationPipeline":
-        h, sections = unpack(data, "signed")
+    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], a: SignedCoefficientFunction) -> "SignedCombinationPipeline":
         out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
         out.plus._load(sections[:3], h.count)
         out.minus._load(sections[3:], h.count)

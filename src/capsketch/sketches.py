@@ -93,8 +93,9 @@ def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> n
     return idx[np.lexsort((okeys[idx], ranks[idx]))][:k]
 
 
-def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the entries an all-threshold sketch of size k retains.
+def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the entries an all-threshold sketch of size k retains, in
+    (y, rank, outkey) order, and the k-th smallest rank retained by each (inf below k).
 
     Entries are taken in (y, rank, outkey) order; one is retained when its
     (rank, outkey) is below the k-th smallest of those retained before it.
@@ -111,6 +112,7 @@ def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: in
     s_okeys, s_ranks = okeys[order], ranks[order]
     heap: list[tuple[float, int]] = []  # max-heap of the k smallest (rank, okey), negated
     kept: list[int] = []  # positions in sorted order
+    kths: list[float] = []
     seen: set[int] = set()
     lo, width = 0, k
     while lo < len(order):
@@ -132,9 +134,10 @@ def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: in
             else:
                 continue
             kept.append(i)
+            kths.append(-heap[0][0] if len(heap) == k else inf)
             seen.add(okey)
         lo, width = hi, 2 * width
-    return order[np.asarray(kept, dtype=np.intp)]
+    return order[np.asarray(kept, dtype=np.intp)], np.asarray(kths, dtype=np.float64)
 
 
 class _BottomK:
@@ -283,7 +286,9 @@ class AllThresholdSketch(_BottomK):
 
     def __init__(self, k: int, seed: int = 0):
         super().__init__(k, seed)
-        self._profile: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # at each distinct stored y, ascending: the number of entries with
+        # y' <= y and the k-th smallest rank among them (inf below k entries)
+        self._profile = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
 
     def update(self, outkey: int, y: float) -> None:
         self.update_batch(np.array([outkey], dtype=np.uint64), np.array([y], dtype=np.float64))
@@ -298,42 +303,16 @@ class AllThresholdSketch(_BottomK):
         self._add(outkeys, _base_ranks(outkeys, self.seed), ys)
 
     def _retain(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        keep = _prefix_bottom_k(okeys, ys, bases, self.k)
+        """Retained entries in (rank, outkey) order; the walk also sets the profile."""
+        keep, kths = _prefix_bottom_k(okeys, ys, bases, self.k)
+        y = ys[keep]
+        at = np.flatnonzero(np.append(y[1:] != y[:-1], y.size > 0))  # the last entry of each run of equal y
+        self._profile = (y[at], at + 1, kths[at])
         return keep[np.lexsort((okeys[keep], bases[keep]))]
-
-    def _add(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> None:
-        super()._add(okeys, bases, ys)
-        self._profile = None
-
-    def _build_profile(self):
-        if self._profile is not None:
-            return self._profile
-        items = sorted(zip(self._values.tolist(), self._ranks.tolist(), self._entries.tolist()))
-        ys, counts, kths = [], [], []
-        heap: list[float] = []  # max-heap (negated) of the k smallest ranks so far
-        for j, (y, rank, _) in enumerate(items):
-            if len(heap) < self.k:
-                heapq.heappush(heap, -rank)
-            elif rank < -heap[0]:
-                heapq.heapreplace(heap, -rank)
-            count = j + 1
-            kth = -heap[0] if count >= self.k else inf
-            if ys and ys[-1] == y:
-                counts[-1], kths[-1] = count, kth
-            else:
-                ys.append(y)
-                counts.append(count)
-                kths.append(kth)
-        self._profile = (
-            np.array(ys, dtype=np.float64),
-            np.array(counts, dtype=np.int64),
-            np.array(kths, dtype=np.float64),
-        )
-        return self._profile
 
     def estimate_at(self, t: float) -> float:
         """Estimated number of distinct outkeys with minimum value <= t."""
-        ys, counts, kths = self._build_profile()
+        ys, counts, kths = self._profile
         idx = int(np.searchsorted(ys, t, side="right")) - 1
         if idx < 0:
             return 0.0
@@ -343,7 +322,7 @@ class AllThresholdSketch(_BottomK):
         return (self.k - 1) / -expm1(-float(kths[idx]))
 
     def estimate_all(self, ts: np.ndarray) -> np.ndarray:
-        ys, counts, kths = self._build_profile()
+        ys, counts, kths = self._profile
         ts = np.asarray(ts, dtype=np.float64)
         if ys.size == 0:
             return np.zeros_like(ts)
@@ -357,7 +336,7 @@ class AllThresholdSketch(_BottomK):
     def breakpoints(self) -> np.ndarray:
         """Distinct stored minimum values, ascending; the estimate is a step
         function of t changing only at these points."""
-        return self._build_profile()[0].copy()
+        return self._profile[0].copy()
 
     def merge(self, other: "AllThresholdSketch") -> "AllThresholdSketch":
         return self._merged(other)

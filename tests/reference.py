@@ -4,18 +4,29 @@ The per-element mappers are the element-at-a-time form of the paper's
 mappings: the batch mappers in ``capsketch.mappers`` must emit exactly their
 outputs (point) or each (key, replica)'s smallest draw (full range and
 combination). The sketch definitions are brute-force forms of the retention
-rules, with the serialized bytes packed entry by entry.
+rules, with the serialized bytes packed entry by entry. The TSV reader takes
+one line at a time, as the chunked reader of ``capsketch.cli`` must behave.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
+import sys
 from dataclasses import dataclass
 from math import inf
 
 import numpy as np
 
-from capsketch.core import Element, ElementValidationError, exp_draw, hash_key, outkey_for, rank_uniform
+from capsketch.core import (
+    Element,
+    ElementValidationError,
+    ParseError,
+    exp_draw,
+    hash_key,
+    outkey_for,
+    rank_uniform,
+)
 from capsketch.mappers import MapperConfig
 
 
@@ -126,3 +137,57 @@ def prefix_bottom_k(pairs, k: int, seed: int) -> list[tuple[int, float]]:
 def sketch_blob(entries, entry_format: str) -> bytes:
     """Sketch bytes: each entry packed with ``entry_format``."""
     return b"".join(struct.pack(entry_format, *e) for e in entries)
+
+
+def threshold_profile(ys, ranks, okeys, k: int):
+    """(ys, counts, kths) of all-threshold entries walked in (y, rank,
+    outkey) order: at each distinct y, the number of entries with y' <= y
+    and the k-th smallest rank among them (inf below k entries)."""
+    items = sorted(zip(ys, ranks, okeys))
+    out_ys, counts, kths = [], [], []
+    heap: list[float] = []  # max-heap (negated) of the k smallest ranks so far
+    for j, (y, rank, _) in enumerate(items):
+        if len(heap) < k:
+            heapq.heappush(heap, -rank)
+        elif rank < -heap[0]:
+            heapq.heapreplace(heap, -rank)
+        count = j + 1
+        kth = -heap[0] if count >= k else inf
+        if out_ys and out_ys[-1] == y:
+            counts[-1], kths[-1] = count, kth
+        else:
+            out_ys.append(y)
+            counts.append(count)
+            kths.append(kth)
+    return (
+        np.array(out_ys, dtype=np.float64),
+        np.array(counts, dtype=np.int64),
+        np.array(kths, dtype=np.float64),
+    )
+
+
+def read_elements(path: str):
+    """Parse TSV lines into elements; raises ParseError with the line number."""
+    fh = sys.stdin.buffer if path == "-" else open(path, "rb")
+    try:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip(b"\r\n")
+            if not line:
+                continue
+            key, _, rest = line.partition(b"\t")
+            if not key:
+                raise ParseError(f"line {lineno}: empty key")
+            if rest:
+                try:
+                    value = float(rest)
+                except ValueError:
+                    raise ParseError(f"line {lineno}: bad value {rest!r}") from None
+            else:
+                value = 1.0
+            try:
+                yield Element(key, value)
+            except ElementValidationError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+    finally:
+        if path != "-":
+            fh.close()

@@ -41,9 +41,10 @@ def test_build_estimate_round_trip(tmp_path, toy_tsv, toy_elements):
     pipe = PointPipeline.for_soft_cap(2.0, r=5, epsilon=0.3, k=64, seed=9)
     for e in toy_elements:
         pipe.ingest(e)
-    header, body = read_sketch_file(str(out))
+    header, sections = read_sketch_file(str(out))
     assert header.statistic == "softcapT=2"
-    assert body == pipe.to_bytes("softcapT=2")
+    assert sections == [pipe.counter.to_bytes(), pipe.sum_counter.to_bytes()]
+    assert out.read_bytes() == pipe.to_bytes("softcapT=2")
 
 
 def test_cli_output_counts(capsys, tmp_path, toy_tsv):
@@ -177,6 +178,51 @@ def test_parse_errors(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(neg), "--stat", "softcapT=1", "-o", str(tmp_path / "x.fsk"))
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([b"a\t1", b"", b"\t2"], "line 3: empty key"),
+        ([b"a", b"b\tnope"], "line 2: bad value b'nope'"),
+        ([b"a\t1", b"b\t"], None),
+        ([b"a\t1", b"b\t-3"], "line 2: element value must be a positive finite number, got -3.0"),
+        ([b"", b"a\t0"], "line 2: element value must be a positive finite number, got 0.0"),
+        ([b"a\tnan"], "line 1: element value must be a positive finite number, got nan"),
+        ([b"a\t1e400"], "line 1: element value must be a positive finite number, got inf"),
+    ],
+)
+def test_parse_error_messages(capsys, tmp_path, rows, message):
+    # blank lines count in line numbers; build and exact report the same line
+    tsv = write_tsv(tmp_path / "in.tsv", rows)
+    for argv in (["build", tsv, "--stat", "softcapT=1", "-o", str(tmp_path / "x.fsk")], ["exact", tsv, "--stat", "distinct"]):
+        code, _, err = run(capsys, *argv)
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert (code, err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--seed", "-1"),
+        ("--k", "0"),
+        ("--r", "0"),
+        ("--epsilon", "1.5"),
+        ("--ordinal-base", "-3"),
+        ("--seed", str(2**64)),
+        ("--k", str(2**32)),
+        ("--r", "many"),
+    ],
+)
+def test_out_of_range_build_options_exit_2(capsys, tmp_path, option):
+    # checked before any input is read: the input does not exist
+    out = tmp_path / "x.fsk"
+    code, stdout, err = run(capsys, "build", str(tmp_path / "missing.tsv"), "--stat", "softcapT=1", *option, "-o", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {option[0]} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_incompatible_merge_exit_code(capsys, tmp_path, toy_tsv):

@@ -16,7 +16,7 @@ from capsketch import (
     sketches,
 )
 from reference import base_rank as _base_rank
-from reference import bottom_k_of_maxima, prefix_bottom_k, sketch_blob
+from reference import bottom_k_of_maxima, prefix_bottom_k, sketch_blob, threshold_profile
 
 
 def test_distinct_exact_mode():
@@ -353,3 +353,21 @@ def test_sketches_equal_their_definitions(entries, k, seed, chunk, data):
         merged = shards[0].merge(shards[1]).merge(shards[2].merge(shards[3]))
         assert split.to_bytes() == expected
         assert merged.to_bytes() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=definition_entries, k=st.integers(1, 6), seed=st.integers(0, 2**32), data=st.data())
+def test_threshold_profile_equals_its_definition(entries, k, seed, data):
+    # the profile kept from the retention walk, after updates, a merge and a
+    # read, equals the heap walk over the stored entries in (y, rank, outkey) order
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    ys = np.array([y for _, y in entries], dtype=np.float64)
+    cut = data.draw(st.integers(0, len(entries)))
+    a, b = AllThresholdSketch(k, seed), AllThresholdSketch(k, seed)
+    a.update_batch(keys[:cut], ys[:cut])
+    b.update_batch(keys[cut:], ys[cut:])
+    merged = a.merge(b)
+    for sk in (a, b, merged, AllThresholdSketch.from_bytes(merged.to_bytes(), k, seed)):
+        expected = threshold_profile(sk._values.tolist(), sk._ranks.tolist(), sk._entries.tolist(), k)
+        for got, want in zip(sk._profile, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
