@@ -16,7 +16,6 @@ from .core import (
     RandomnessSource,
     UnsupportedStatisticError,
     aggregate,
-    exp_draw,
     hash_key,
     hash_keys,
 )

@@ -1,6 +1,7 @@
-"""Benchmark harness: measurement quality on synthetic Zipf streams.
+"""Benchmark harness: point-measurement quality on synthetic Zipf streams,
+the ``capsketch bench`` command.
 
-Feeds aggregated per-key elements through the real mappers and sketches.
+Feeds aggregated per-key elements through the point mapper and sketch.
 Aggregation first is distribution-preserving: the minimum of the independent
 per-occurrence draws for a key is exponential with the key's total weight, so
 mapping one element per (key, weight) pair yields output elements with the
@@ -16,12 +17,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import _mix64, hash_keys
-from .mappers import MapperConfig, combination_batch, point_outkeys_batch
-from .oracle import aggregate_ranks, exact_measurement, exact_statistic, zipf_ranks
+from .mappers import MapperConfig, point_outkeys_batch
+from .oracle import aggregate_ranks, exact_statistic, zipf_ranks
 from .sketches import DistinctCounter
-from .transforms import StatisticSpec, inverse_transform
+from .transforms import StatisticSpec
 
-__all__ = ["BenchRow", "point_benchmark", "sqrt_combination_measurements", "write_csv"]
+__all__ = ["BenchRow", "point_benchmark", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -95,33 +96,6 @@ def point_benchmark(
                     )
                 )
     return rows
-
-
-def sqrt_combination_measurements(
-    alpha: float,
-    n_elements: int,
-    r: int,
-    reps: int,
-    seed: int = 0,
-    n_keys: int = 1_000_000,
-) -> tuple[np.ndarray, float]:
-    """Exact combination measurements of sum sqrt(w_x) over one Zipf dataset.
-
-    Returns the per-repetition measurements (max-distinct statistic of the
-    output elements divided by r, cutoff zero) and the exact statistic.
-    """
-    ranks = zipf_ranks(n_elements, alpha, n_keys=n_keys, seed=_mix64(seed ^ 0xABCD))
-    unique, weights, dist = aggregate_ranks(ranks)
-    key64s = hash_keys(b"%d" % r_ for r_ in unique)
-    ordinals = np.arange(len(unique), dtype=np.uint64)
-    a = inverse_transform(StatisticSpec("sqrt"))
-    exact = exact_statistic(dist, StatisticSpec("sqrt"))
-    out = np.empty(reps)
-    for rep in range(reps):
-        cfg = MapperConfig(r=int(r), a=a, tau=0.0, seed=_rep_seed(seed, 7, rep))
-        outkeys, vs = combination_batch(key64s, weights, cfg, ordinals)
-        out[rep] = exact_measurement((outkeys, vs), "max_distinct") / r
-    return out, exact
 
 
 def write_csv(rows: Iterable[BenchRow], path: str) -> None:

@@ -6,7 +6,7 @@ optional and defaults to 1. Keys are raw bytes up to the first tab. Blank
 lines are skipped but counted in line numbers.
 
 Exit codes: 0 success, 2 parse error (a malformed line, sketch file or
-build option), 3 incompatible sketches, 4 unsupported statistic.
+build or query option), 3 incompatible sketches, 4 unsupported statistic.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MIN_EPSILON,
     Element,
     ElementValidationError,
     IncompatibleSketchError,
@@ -170,8 +171,8 @@ def _emitted(pipeline) -> int:
 def _cmd_build(args) -> int:
     spec = parse_statistic(args.stat)
     # options a sketch file cannot hold exit 2 before any input is read
-    if not 0.0 < args.epsilon < 1.0:
-        raise ParseError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
+    if not MIN_EPSILON <= args.epsilon < 1.0:
+        raise ParseError(f"--epsilon must lie in [{MIN_EPSILON:g}, 1), got {args.epsilon}")
     try:
         r = choose_replication(args.epsilon) if args.r == "auto" else int(args.r)
     except ValueError:
@@ -241,6 +242,8 @@ def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: 
 
 
 def _cmd_estimate(args) -> int:
+    if args.t is not None and not args.t >= 0.0:
+        raise ParseError(f"--t must be >= 0, got {args.t}")
     header, sections = read_sketch_file(args.sketch)
     pipeline = _load_pipeline(header, sections)
     if header.mode != "fullrange" and (args.stat is not None or args.t is not None):

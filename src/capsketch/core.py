@@ -4,7 +4,9 @@ mappers and sketches.
 Everything here is deterministic given explicit seeds: random draws are
 counter-based (keyed by seed, element ordinal and replica index), never pulled
 from a shared mutable generator, so runs are reproducible and element
-processing can be sharded freely.
+processing can be sharded freely. Each primitive has one form, over numpy
+arrays; the element-at-a-time definitions they are checked against live with
+the tests.
 """
 
 from __future__ import annotations
@@ -22,22 +24,21 @@ __all__ = [
     "UnsupportedStatisticError",
     "IllPosedTransformError",
     "ParseError",
+    "MIN_EPSILON",
     "Element",
     "FrequencyDistribution",
     "aggregate",
     "RandomnessSource",
-    "exp_draw",
     "hash_key",
     "hash_keys",
-    "outkey_for",
     "outkey_block",
-    "rank_uniform",
     "rank_uniforms",
 ]
 
 
 class ElementValidationError(ValueError):
-    """Raised for elements with empty keys or non-positive/non-finite values."""
+    """Raised for elements with empty keys or non-positive/non-finite values,
+    and for elements past the last ordinal below 2**64."""
 
 
 class IncompatibleSketchError(ValueError):
@@ -55,6 +56,10 @@ class IllPosedTransformError(ValueError):
 class ParseError(ValueError):
     """Raised for malformed input lines and sketch files."""
 
+
+# The smallest error target epsilon accepted anywhere: below it a size derived
+# from epsilon (3/epsilon^2 outputs, epsilon^-2.5 replicas) overflows a float.
+MIN_EPSILON = 1e-120
 
 _M64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
@@ -91,12 +96,8 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> _S31)
 
 
-def _to_unit(h: int) -> float:
-    # (0, 1) exclusive on both ends so log() is always finite.
-    return ((h >> 11) + 0.5) * _TO_UNIT
-
-
 def _to_unit_np(h: np.ndarray) -> np.ndarray:
+    # (0, 1) exclusive on both ends so log() is always finite.
     return ((h >> _S11).astype(np.float64) + 0.5) * _TO_UNIT
 
 
@@ -111,27 +112,18 @@ def hash_keys(keys: Iterable[bytes]) -> np.ndarray:
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 
-def outkey_for(key64: int, i: int) -> int:
-    """Derive the 64-bit outkey for replica ``i`` of a hashed key.
+def outkey_block(key64s: np.ndarray, r: int) -> np.ndarray:
+    """Outkeys for all replicas of all keys, shape (len(key64s), r).
 
     Plays the role of a family of (nearly) injective functions indexed by the
-    replica: distinct (key, i) pairs collide with probability ~2^-64.
+    replica: distinct (key, replica) pairs collide with probability ~2^-64.
     """
-    return _mix64(key64 ^ _mix64((i + _OUTKEY_SALT) & _M64))
-
-
-def outkey_block(key64s: np.ndarray, r: int) -> np.ndarray:
-    """Outkeys for all replicas of all keys, shape (len(key64s), r)."""
     cols = _mix64_np((np.arange(r, dtype=np.uint64) + np.uint64(_OUTKEY_SALT)))
     return _mix64_np(key64s[:, None].astype(np.uint64) ^ cols[None, :])
 
 
-def rank_uniform(outkey: int, seed: int) -> float:
-    """Deterministic uniform in (0,1) attached to an outkey by a second hash."""
-    return _to_unit(_mix64(outkey ^ _mix64((seed + _RANK_SALT) & _M64)))
-
-
 def rank_uniforms(outkeys: np.ndarray, seed: int) -> np.ndarray:
+    """Deterministic uniforms in (0,1) attached to outkeys by a second hash."""
     salt = np.uint64(_mix64((seed + _RANK_SALT) & _M64))
     return _to_unit_np(_mix64_np(outkeys.astype(np.uint64) ^ salt))
 
@@ -150,15 +142,11 @@ class RandomnessSource:
         self.seed = int(seed) & _M64
         self._chain = _mix64(self.seed ^ _DRAW_SALT)
 
-    def uniform(self, ordinal: int, i: int) -> float:
-        h = _mix64(self._chain ^ ((ordinal * _GOLDEN) & _M64))
-        h = _mix64(h ^ ((i * _GOLDEN2) & _M64))
-        return _to_unit(h)
-
     def uniform_block(self, ordinals: np.ndarray, r: int) -> np.ndarray:
-        """Uniforms for every (ordinal, replica) pair, shape (len(ordinals), r).
+        """Uniforms in (0,1) for every (ordinal, replica) pair, shape (len(ordinals), r).
 
-        Bit-identical to calling :meth:`uniform` entry by entry.
+        Entry (j, i) depends only on the seed, ``ordinals[j]`` and ``i``, so
+        any split of the ordinals into blocks yields the same bits.
         """
         with np.errstate(over="ignore"):
             rows = np.asarray(ordinals, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -166,18 +154,6 @@ class RandomnessSource:
             h = _mix64_np(np.uint64(self._chain) ^ rows)
             h = _mix64_np(h[:, None] ^ cols[None, :])
         return _to_unit_np(h)
-
-
-def exp_draw(u: float | np.ndarray, rate: float | np.ndarray):
-    """Map a uniform draw ``u`` in (0,1) to Exp(rate) via -ln(u)/rate."""
-    if np.ndim(rate) == 0:
-        rate = float(rate)
-        if not (rate > 0.0) or rate == float("inf"):
-            raise ValueError(f"exponential rate must be positive and finite, got {rate}")
-        if np.ndim(u) == 0:
-            # np.log, not math.log: bitwise identical to the vectorized path
-            return float(-np.log(u)) / rate
-    return -np.log(u) / rate
 
 
 @dataclass(frozen=True)

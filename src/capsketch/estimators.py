@@ -24,7 +24,7 @@ from math import ceil, inf
 
 import numpy as np
 
-from .core import Element, IncompatibleSketchError, hash_key
+from .core import MIN_EPSILON, Element, ElementValidationError, IncompatibleSketchError, hash_key
 from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from .sketchfile import ENTRY, SketchFileHeader, pack, records, unpack
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
@@ -96,8 +96,8 @@ class _PipelineBase(_Pipeline):
     """Shared ingest bookkeeping: ordinal assignment and the exact sum."""
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"error target must be in (0,1), got {epsilon}")
+        if not MIN_EPSILON <= epsilon < 1.0:
+            raise ValueError(f"error target must be in [{MIN_EPSILON:g}, 1), got {epsilon}")
         self.r = int(r)
         self.epsilon = float(epsilon)
         self.k = int(k)
@@ -113,8 +113,12 @@ class _PipelineBase(_Pipeline):
 
     def _next_ordinals(self, n: int) -> np.ndarray:
         """Ordinals of the next n elements; ``count`` advances only once they
-        are mapped, so a rejected batch is not counted."""
-        return np.arange(self.ordinal_base + self.count, self.ordinal_base + self.count + n, dtype=np.uint64)
+        are mapped, so a rejected batch is not counted. Ordinals are u64, so
+        a batch that would pass 2**64 - 1 is rejected whole."""
+        first = self.ordinal_base + self.count
+        if first + n > 2**64:
+            raise ElementValidationError(f"ordinal base {self.ordinal_base} plus {self.count + n} elements passes the last u64 ordinal")
+        return np.arange(first, first + n, dtype=np.uint64)
 
     def _check_mergeable(self, other, *fields: str) -> None:
         _check_field("type", type(self).__name__, type(other).__name__)

@@ -1,18 +1,19 @@
 """Randomized mappings of input elements to output elements.
 
-Three mappings cover the measurement modes: point (emit an outkey per replica
-whose exponential draw lands below a threshold), combination (attach the tail
-integral of a coefficient function to each draw), and full-range (emit every
-draw so any threshold can be applied later).
+Two mappings cover the measurement modes: point (emit an outkey per replica
+whose exponential draw lands below a threshold) and full-range (emit every
+draw so any threshold can be applied later). The combination mode maps with
+the full-range mapping and values each draw at the tail integral of its
+coefficient function itself (``CombinationPipeline``).
 
 Every replica draw is keyed by (seed, element ordinal, replica index), so a
 mapping is a pure function of the element, its ordinal and the config. The
 mappings take arrays of elements. The point mapping emits exactly the outkeys
-that mapping each element on its own would. The full-range and combination
-mappings emit one output per distinct (key, replica) of the call, carrying
-the smallest of that pair's draws: the threshold and max-distinct statistics
-of the output elements depend on each outkey's smallest draw only, so this
-keeps every statistic the sketches see. All three reject the same values.
+that mapping each element on its own would. The full-range mapping emits one
+output per distinct (key, replica) of the call, carrying the smallest of that
+pair's draws: the threshold and max-distinct statistics of the output
+elements depend on each outkey's smallest draw only, so this keeps every
+statistic the sketches see. Both reject the same values.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ElementValidationError, RandomnessSource, outkey_block
-from .transforms import CoefficientFunction
+from .core import MIN_EPSILON, ElementValidationError, RandomnessSource, outkey_block
 
 __all__ = [
     "MapperConfig",
     "point_outkeys_batch",
     "full_range_batch",
-    "combination_batch",
     "choose_replication",
 ]
 
@@ -44,16 +43,11 @@ _MIN_SAFE_VALUE = 1e-300
 
 @dataclass(frozen=True)
 class MapperConfig:
-    """Shared mapper parameters.
-
-    ``t`` applies to point mappings, ``a`` and ``tau`` to combination
-    mappings; ``r`` and ``seed`` to all of them.
-    """
+    """Shared mapper parameters: ``t`` applies to point mappings, ``r`` and
+    ``seed`` to both."""
 
     r: int
     t: float | None = None
-    a: CoefficientFunction | None = None
-    tau: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -62,8 +56,6 @@ class MapperConfig:
         object.__setattr__(self, "r", int(self.r))
         if self.t is not None and (self.t < 0.0 or self.t != self.t):
             raise ValueError(f"threshold t must be >= 0, got {self.t}")
-        if self.tau < 0.0:
-            raise ValueError(f"cutoff tau must be >= 0, got {self.tau}")
 
     def source(self) -> RandomnessSource:
         return RandomnessSource(self.seed)
@@ -164,35 +156,14 @@ def full_range_batch(
     return outkey_block(skeys[starts], cfg.r).ravel(), mins.ravel()
 
 
-def combination_batch(
-    key64s: np.ndarray,
-    values: np.ndarray,
-    cfg: MapperConfig,
-    ordinals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized combination mapping; returns (outkeys, tail values > 0).
-
-    Built on :func:`full_range_batch`, so it emits one output per distinct
-    (key, replica) of the call, valued at the tail integral of that pair's
-    smallest draw: the largest value the per-element mapping gives the pair,
-    since tail integrals do not increase.
-    """
-    if cfg.a is None:
-        raise ValueError("combination mapping requires a coefficient function")
-    outkeys, ys = full_range_batch(key64s, values, cfg, ordinals)
-    v = np.asarray(cfg.a.tail(np.maximum(cfg.tau, ys)), dtype=np.float64)
-    keep = v > 0.0
-    return outkeys[keep], v[keep]
-
-
 def choose_replication(epsilon: float, max_over_sum: float | None = None) -> int:
     """Replication count giving a concentrated measurement at error target epsilon.
 
     Worst case ceil(e/(e-1) * epsilon^-2.5); callers that know the ratio
     MAX(W)/SUM(W) can shrink it, down to r=1 once SUM >= epsilon^-2.5 * MAX.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"error target must be in (0,1), got {epsilon}")
+    if not MIN_EPSILON <= epsilon < 1.0:
+        raise ValueError(f"error target must be in [{MIN_EPSILON:g}, 1), got {epsilon}")
     worst = ceil(e / (e - 1.0) * epsilon**-2.5)
     if max_over_sum is None:
         return worst

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IncompatibleSketchError, ParseError
+from .core import MIN_EPSILON, IncompatibleSketchError, ParseError
 
 __all__ = ["SketchFileHeader", "OUTKEY", "ENTRY", "pack", "unpack", "records"]
 
@@ -66,7 +66,7 @@ def unpack(data: bytes, mode: str | None = None) -> tuple[SketchFileHeader, list
     if zlib.crc32(data[_START:], zlib.crc32(data[: _HEAD.size])) != int.from_bytes(data[_HEAD.size : _START], "little"):
         raise ParseError("checksum mismatch")
     desc = data[_START : _START + dlen]
-    if tag >= len(MODES) or not 0.0 < epsilon < 1.0 or r < 1 or k < 1 or not desc.isascii():
+    if tag >= len(MODES) or not MIN_EPSILON <= epsilon < 1.0 or r < 1 or k < 1 or not desc.isascii():
         raise ParseError(f"invalid header (mode {tag}, epsilon {epsilon}, r {r}, k {k}, statistic {desc!r})")
     header = SketchFileHeader(list(MODES)[tag], desc.decode("ascii"), epsilon, r, k, seed, base, count)
     if mode is not None and header.mode != mode:

@@ -12,7 +12,8 @@ decompositions:
 Coefficient functions are represented symbolically (Dirac deltas plus named
 continuous families) with closed-form tail integrals ``int_tau^inf a`` and
 head integrals ``int_0^tau t a(t) dt``, which is what the element mappers need
-per draw; nothing in the hot path does quadrature.
+per draw; nothing in the hot path does quadrature. Only the quadrature
+fallbacks of ``lapm`` need scipy, which they import when called.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import e as _E
-from math import gamma
+from math import factorial, gamma
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .core import IllPosedTransformError, UnsupportedStatisticError
 
@@ -195,11 +195,41 @@ def laplace_c(dist, t):
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-12, epsrel=1e-10)
 
+_EULER_GAMMA = 0.5772156649015329
+# E1(x) = -gamma - ln x + x * sum_n (-x)^n / ((n+1) (n+1)!); the sum's first
+# 25 coefficients, highest power first, for Horner's rule
+_E1_SERIES = [(-1) ** n / ((n + 1) * factorial(n + 1)) for n in range(24, -1, -1)]
+
+
+def _exp1(x: np.ndarray) -> np.ndarray:
+    """Exponential integral E1(x) for x > 0: the power series up to 1.5, a
+    continued fraction of fixed depth evaluated backward above (Abramowitz
+    and Stegun 5.1.11 and 5.1.22). Within 3e-15 relative of
+    ``scipy.special.exp1`` on [1e-300, 700]."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty_like(flat)
+    small = flat <= 1.5
+    if small.any():
+        s = flat[small]
+        acc = np.zeros_like(s)
+        for c in _E1_SERIES:
+            acc *= s
+            acc += c
+        out[small] = s * acc - np.log(s) - _EULER_GAMMA
+    if not small.all():
+        h = flat[~small]
+        t = np.zeros_like(h)
+        for k in range(64, 0, -1):  # t <- k / (1 + k / (h + t))
+            t += h
+            np.divide(k, t, out=t)
+            t += 1.0
+            np.divide(k, t, out=t)
+        out[~small] = np.exp(-h) / (h + t)
+    return out.reshape(np.shape(x))
+
 
 class ContinuousFamily:
     """A nonnegative density a(t) with closed-form tail and head integrals."""
-
-    scale: float
 
     def density(self, t):
         raise NotImplementedError
@@ -213,7 +243,9 @@ class ContinuousFamily:
         raise NotImplementedError
 
     def lapm(self, w):
-        """int_0^inf a(t) (1 - exp(-w t)) dt; quadrature fallback."""
+        """int_0^inf a(t) (1 - exp(-w t)) dt; quadrature fallback, which needs scipy."""
+        from scipy import integrate
+
         if np.ndim(w):
             return np.array([self.lapm(float(x)) for x in np.asarray(w).ravel()]).reshape(np.shape(w))
         w = float(w)
@@ -222,137 +254,114 @@ class ContinuousFamily:
         val, _ = integrate.quad(lambda t: self.density(t) * -np.expm1(-w * t), 0.0, np.inf, **_QUAD_OPTS)
         return val
 
-    def scaled(self, c: float) -> "ContinuousFamily":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class MomentDensity(ContinuousFamily):
-    """Inverse transform of w^p: a(t) = scale * p / Gamma(1-p) * t^(-1-p)."""
+    """Inverse transform of w^p: a(t) = p / Gamma(1-p) * t^(-1-p)."""
 
     p: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"moment exponent must be in (0,1), got {self.p}")
 
     def density(self, t):
-        return self.scale * self.p / gamma(1.0 - self.p) * np.asarray(t, dtype=np.float64) ** (-1.0 - self.p)
+        return self.p / gamma(1.0 - self.p) * np.asarray(t, dtype=np.float64) ** (-1.0 - self.p)
 
     def tail(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
         with np.errstate(divide="ignore"):
-            out = self.scale / (tau**self.p * gamma(1.0 - self.p))
+            out = 1.0 / (tau**self.p * gamma(1.0 - self.p))
         return out if out.ndim else float(out)
 
     def head(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
-        out = self.scale * self.p * tau ** (1.0 - self.p) / ((1.0 - self.p) * gamma(1.0 - self.p))
+        out = self.p * tau ** (1.0 - self.p) / ((1.0 - self.p) * gamma(1.0 - self.p))
         return out if out.ndim else float(out)
 
     def lapm(self, w):
-        out = self.scale * np.asarray(w, dtype=np.float64) ** self.p
+        out = np.asarray(w, dtype=np.float64) ** self.p
         return out if out.ndim else float(out)
-
-    def scaled(self, c: float):
-        return MomentDensity(self.p, self.scale * c)
 
 
 @dataclass(frozen=True)
 class ReciprocalExpDensity(ContinuousFamily):
-    """Inverse transform of log(1+w): a(t) = scale * exp(-t)/t.
+    """Inverse transform of log(1+w): a(t) = exp(-t)/t.
 
     The tail integral is the exponential integral E1(tau).
     """
 
-    scale: float = 1.0
-
     def density(self, t):
         t = np.asarray(t, dtype=np.float64)
-        return self.scale * np.exp(-t) / t
+        return np.exp(-t) / t
 
     def tail(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            out = np.where(tau == 0.0, np.inf, self.scale * special.exp1(np.maximum(tau, 1e-300)))
+        out = np.where(tau == 0.0, np.inf, _exp1(np.maximum(tau, 1e-300)))
         return out if out.ndim else float(out)
 
     def head(self, tau):
-        out = self.scale * -np.expm1(-np.asarray(tau, dtype=np.float64))
+        out = -np.expm1(-np.asarray(tau, dtype=np.float64))
         return out if out.ndim else float(out)
 
     def lapm(self, w):
-        out = self.scale * np.log1p(np.asarray(w, dtype=np.float64))
+        out = np.log1p(np.asarray(w, dtype=np.float64))
         return out if out.ndim else float(out)
-
-    def scaled(self, c: float):
-        return ReciprocalExpDensity(self.scale * c)
 
 
 @dataclass(frozen=True)
 class ExpDensity(ContinuousFamily):
-    """Capping coefficient of soft capping at scale T: a(t) = scale * exp(-t/T)/T."""
+    """Capping coefficient of soft capping at scale T: a(t) = exp(-t/T)/T."""
 
     T: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not self.T > 0.0:
             raise ValueError(f"scale T must be > 0, got {self.T}")
 
     def density(self, t):
-        return self.scale * np.exp(-np.asarray(t, dtype=np.float64) / self.T) / self.T
+        return np.exp(-np.asarray(t, dtype=np.float64) / self.T) / self.T
 
     def tail(self, tau):
-        out = self.scale * np.exp(-np.asarray(tau, dtype=np.float64) / self.T)
+        out = np.exp(-np.asarray(tau, dtype=np.float64) / self.T)
         return out if out.ndim else float(out)
 
     def head(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
         x = tau / self.T
         with np.errstate(invalid="ignore"):
-            out = self.scale * (self.T * -np.expm1(-x) - np.where(np.isinf(tau), 0.0, tau * np.exp(-x)))
+            out = self.T * -np.expm1(-x) - np.where(np.isinf(tau), 0.0, tau * np.exp(-x))
         return out if out.ndim else float(out)
 
     def lapm(self, w):
         w = np.asarray(w, dtype=np.float64)
-        out = self.scale * w * self.T / (1.0 + w * self.T)
+        out = w * self.T / (1.0 + w * self.T)
         return out if out.ndim else float(out)
-
-    def scaled(self, c: float):
-        return ExpDensity(self.T, self.scale * c)
 
 
 @dataclass(frozen=True)
 class InverseSquareDensity(ContinuousFamily):
-    """Capping coefficient of log(1+w): a(t) = scale / (1+t)^2."""
-
-    scale: float = 1.0
+    """Capping coefficient of log(1+w): a(t) = 1 / (1+t)^2."""
 
     def density(self, t):
-        return self.scale / (1.0 + np.asarray(t, dtype=np.float64)) ** 2
+        return 1.0 / (1.0 + np.asarray(t, dtype=np.float64)) ** 2
 
     def tail(self, tau):
-        out = self.scale / (1.0 + np.asarray(tau, dtype=np.float64))
+        out = 1.0 / (1.0 + np.asarray(tau, dtype=np.float64))
         return out if out.ndim else float(out)
 
     def head(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
-        out = self.scale * (np.log1p(tau) - np.where(np.isinf(tau), 1.0, tau / (1.0 + tau)))
+        out = np.log1p(tau) - np.where(np.isinf(tau), 1.0, tau / (1.0 + tau))
         return out if out.ndim else float(out)
-
-    def scaled(self, c: float):
-        return InverseSquareDensity(self.scale * c)
 
 
 @dataclass(frozen=True)
 class PowerTailAboveOne(ContinuousFamily):
     """Continuous part of the capping coefficient of min(w, w^p):
-    a(t) = scale * p(1-p) t^(p-2) for t > 1, zero below."""
+    a(t) = p(1-p) t^(p-2) for t > 1, zero below."""
 
     p: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -360,20 +369,17 @@ class PowerTailAboveOne(ContinuousFamily):
 
     def density(self, t):
         t = np.asarray(t, dtype=np.float64)
-        return np.where(t > 1.0, self.scale * self.p * (1.0 - self.p) * t ** (self.p - 2.0), 0.0)
+        return np.where(t > 1.0, self.p * (1.0 - self.p) * t ** (self.p - 2.0), 0.0)
 
     def tail(self, tau):
         tau = np.maximum(np.asarray(tau, dtype=np.float64), 1.0)
-        out = self.scale * self.p * tau ** (self.p - 1.0)
+        out = self.p * tau ** (self.p - 1.0)
         return out if out.ndim else float(out)
 
     def head(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
-        out = np.where(tau <= 1.0, 0.0, self.scale * (1.0 - self.p) * (np.maximum(tau, 1.0) ** self.p - 1.0))
+        out = np.where(tau <= 1.0, 0.0, (1.0 - self.p) * (np.maximum(tau, 1.0) ** self.p - 1.0))
         return out if out.ndim else float(out)
-
-    def scaled(self, c: float):
-        return PowerTailAboveOne(self.p, self.scale * c)
 
 
 @dataclass(frozen=True)
@@ -398,10 +404,6 @@ class LiftedDensity(ContinuousFamily):
         if not (self.s > 0.0 and self.m > 0.0):
             raise ValueError("lifted point mass needs s > 0 and m > 0")
 
-    @property
-    def scale(self) -> float:
-        return self.m
-
     def density(self, x):
         x = np.asarray(x, dtype=np.float64)
         return self.m * self.s**2 * self.base.density(self.s / x) / x**3
@@ -421,6 +423,9 @@ class LiftedDensity(ContinuousFamily):
         return out if out.ndim else float(out)
 
     def lapm(self, w):
+        """Quadrature, which needs scipy."""
+        from scipy import integrate
+
         if np.ndim(w):
             return np.array([self.lapm(float(x)) for x in np.asarray(w).ravel()]).reshape(np.shape(w))
         w = float(w)
@@ -433,8 +438,6 @@ class LiftedDensity(ContinuousFamily):
         val, _ = integrate.quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
         return self.m * val
 
-    def scaled(self, c: float):
-        return LiftedDensity(self.base, self.s, self.m * c)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +502,6 @@ class CoefficientFunction:
         for part in self.parts:
             out = out + np.asarray(part.lapm(w_arr), dtype=np.float64)
         return out if out.ndim else float(out)
-
-    def scaled(self, c: float) -> "CoefficientFunction":
-        if c < 0.0:
-            raise ValueError("coefficient functions are nonnegative; cannot scale by a negative factor")
-        return CoefficientFunction(
-            tuple((loc, mass * c) for loc, mass in self.deltas),
-            tuple(p.scaled(c) for p in self.parts),
-        )
 
 
 def tail_integral(a: CoefficientFunction, tau: float, allow_infinite: bool = False):

@@ -1,11 +1,16 @@
 """Reference definitions the vectorized code is checked against.
 
-The per-element mappers are the element-at-a-time form of the paper's
-mappings: the batch mappers in ``capsketch.mappers`` must emit exactly their
-outputs (point) or each (key, replica)'s smallest draw (full range and
-combination). The sketch definitions are brute-force forms of the retention
-rules, with the serialized bytes packed entry by entry. The TSV reader takes
-one line at a time, as the chunked reader of ``capsketch.cli`` must behave.
+The scalar primitives (a uniform per (seed, ordinal, replica), an outkey per
+(key, replica), an outkey's rank uniform and an exponential draw) are the
+one-value forms of the array primitives of ``capsketch.core``, which must
+match them bit for bit. The per-element mappers are the element-at-a-time
+form of the paper's mappings: the batch mappers in ``capsketch.mappers`` must
+emit exactly their outputs (point) or each (key, replica)'s smallest draw
+(full range), and ``combination_batch`` is the combination mapping the
+pipelines apply inside ``CombinationPipeline``. The sketch definitions are
+brute-force forms of the retention rules, with the serialized bytes packed
+entry by entry. The TSV reader takes one line at a time, as the chunked
+reader of ``capsketch.cli`` must behave.
 """
 
 from __future__ import annotations
@@ -19,15 +24,58 @@ from math import inf
 import numpy as np
 
 from capsketch.core import (
+    _DRAW_SALT,
+    _GOLDEN,
+    _GOLDEN2,
+    _M64,
+    _OUTKEY_SALT,
+    _RANK_SALT,
+    _TO_UNIT,
     Element,
     ElementValidationError,
     ParseError,
-    exp_draw,
+    RandomnessSource,
+    _mix64,
     hash_key,
-    outkey_for,
-    rank_uniform,
 )
-from capsketch.mappers import MapperConfig
+from capsketch.mappers import MapperConfig, full_range_batch
+from capsketch.transforms import CoefficientFunction
+
+
+def _to_unit(h: int) -> float:
+    # (0, 1) exclusive on both ends so log() is always finite.
+    return ((h >> 11) + 0.5) * _TO_UNIT
+
+
+def uniform(src: RandomnessSource, ordinal: int, i: int) -> float:
+    """The uniform of (seed, ordinal, replica i): entry (ordinal, i) of
+    ``src.uniform_block``."""
+    h = _mix64(_mix64(src.seed ^ _DRAW_SALT) ^ ((ordinal * _GOLDEN) & _M64))
+    h = _mix64(h ^ ((i * _GOLDEN2) & _M64))
+    return _to_unit(h)
+
+
+def outkey_for(key64: int, i: int) -> int:
+    """The 64-bit outkey of replica ``i`` of a hashed key: entry (key, i) of
+    ``outkey_block``."""
+    return _mix64(key64 ^ _mix64((i + _OUTKEY_SALT) & _M64))
+
+
+def rank_uniform(outkey: int, seed: int) -> float:
+    """The rank uniform of one outkey: an entry of ``rank_uniforms``."""
+    return _to_unit(_mix64(outkey ^ _mix64((seed + _RANK_SALT) & _M64)))
+
+
+def exp_draw(u: float | np.ndarray, rate: float | np.ndarray):
+    """Map a uniform draw ``u`` in (0,1) to Exp(rate) via -ln(u)/rate."""
+    if np.ndim(rate) == 0:
+        rate = float(rate)
+        if not (rate > 0.0) or rate == float("inf"):
+            raise ValueError(f"exponential rate must be positive and finite, got {rate}")
+        if np.ndim(u) == 0:
+            # np.log, not math.log: bitwise identical to the vectorized path
+            return float(-np.log(u)) / rate
+    return -np.log(u) / rate
 
 
 @dataclass(frozen=True)
@@ -65,25 +113,38 @@ def map_point(e: Element, cfg: MapperConfig, ordinal: int = 0, key64: int | None
     src = cfg.source()
     out = []
     for i in range(cfg.r):
-        y = exp_draw(src.uniform(ordinal, i), e.value)
+        y = exp_draw(uniform(src, ordinal, i), e.value)
         if y <= cfg.t:
             out.append(OutputElement(outkey_for(k64, i)))
     return out
 
 
-def map_combination(e: Element, cfg: MapperConfig, ordinal: int = 0, key64: int | None = None) -> list[OutputElement]:
+def _check_combination(a: CoefficientFunction | None, tau: float) -> None:
+    if a is None:
+        raise ValueError("combination mapping requires a coefficient function")
+    if not tau >= 0.0:
+        raise ValueError(f"cutoff tau must be >= 0, got {tau}")
+
+
+def map_combination(
+    e: Element,
+    cfg: MapperConfig,
+    a: CoefficientFunction | None = None,
+    tau: float = 0.0,
+    ordinal: int = 0,
+    key64: int | None = None,
+) -> list[OutputElement]:
     """Emit (outkey, tail integral of a at max(tau, draw)) per replica, when positive."""
     e = _validated(e)
-    if cfg.a is None:
-        raise ValueError("combination mapping requires a coefficient function")
+    _check_combination(a, tau)
     k64 = hash_key(e.key) if key64 is None else key64
     src = cfg.source()
     out = []
     for i in range(cfg.r):
-        y = exp_draw(src.uniform(ordinal, i), e.value)
+        y = exp_draw(uniform(src, ordinal, i), e.value)
         if y == inf:
             raise _overflow(e.value)
-        v = float(cfg.a.tail(max(cfg.tau, y)))
+        v = float(a.tail(max(tau, y)))
         if v > 0.0:
             out.append(OutputElement(outkey_for(k64, i), v))
     return out
@@ -94,10 +155,32 @@ def map_full_range(e: Element, cfg: MapperConfig, ordinal: int = 0, key64: int |
     e = _validated(e)
     k64 = hash_key(e.key) if key64 is None else key64
     src = cfg.source()
-    ys = [exp_draw(src.uniform(ordinal, i), e.value) for i in range(cfg.r)]
+    ys = [exp_draw(uniform(src, ordinal, i), e.value) for i in range(cfg.r)]
     if inf in ys:
         raise _overflow(e.value)
     return [OutputElement(outkey_for(k64, i), y) for i, y in enumerate(ys)]
+
+
+def combination_batch(
+    key64s: np.ndarray,
+    values: np.ndarray,
+    cfg: MapperConfig,
+    ordinals: np.ndarray,
+    a: CoefficientFunction | None,
+    tau: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized combination mapping; returns (outkeys, tail values > 0).
+
+    Built on ``full_range_batch``, so it emits one output per distinct (key,
+    replica) of the call, valued at the tail integral of that pair's smallest
+    draw: the largest value :func:`map_combination` gives the pair, since
+    tail integrals do not increase.
+    """
+    _check_combination(a, tau)
+    outkeys, ys = full_range_batch(key64s, values, cfg, ordinals)
+    v = np.asarray(a.tail(np.maximum(tau, ys)), dtype=np.float64)
+    keep = v > 0.0
+    return outkeys[keep], v[keep]
 
 
 def base_rank(outkey: int, seed: int) -> float:

@@ -21,15 +21,19 @@ from capsketch import (
     cap1_approximation,
     capping_transform,
     hash_keys,
+    inverse_transform,
     laplace_c,
     THREE_POINT_STABLE,
     THREE_POINT_TIGHT,
 )
-from capsketch.bench import point_benchmark, sqrt_combination_measurements
+from capsketch.bench import _rep_seed, point_benchmark
+from capsketch.core import _mix64
 from capsketch.mappers import point_outkeys_batch
+from capsketch.oracle import aggregate_ranks, exact_measurement, exact_statistic, zipf_ranks
 from capsketch.transforms import CAP1_ERROR_GRID, DEFAULT_RHO_GRID, relative_error_to, rho_estimate
 
 from conftest import toy_laplace
+from reference import combination_batch
 
 TOY = FrequencyDistribution({1.0: 10, 5.0: 2, 10.0: 1})
 
@@ -107,6 +111,26 @@ def test_criterion_3_zipf_replication():
         time.time() - start,
         900.0,
     )
+
+
+def sqrt_combination_measurements(alpha, n_elements, r, reps, seed=0, n_keys=1_000_000):
+    """Exact combination measurements of sum sqrt(w_x) over one Zipf dataset.
+
+    Returns the per-repetition measurements (max-distinct statistic of the
+    output elements divided by r, cutoff zero) and the exact statistic.
+    """
+    ranks = zipf_ranks(n_elements, alpha, n_keys=n_keys, seed=_mix64(seed ^ 0xABCD))
+    unique, weights, dist = aggregate_ranks(ranks)
+    key64s = hash_keys(b"%d" % r_ for r_ in unique)
+    ordinals = np.arange(len(unique), dtype=np.uint64)
+    a = inverse_transform(StatisticSpec("sqrt"))
+    exact = exact_statistic(dist, StatisticSpec("sqrt"))
+    out = np.empty(reps)
+    for rep in range(reps):
+        cfg = MapperConfig(r=int(r), seed=_rep_seed(seed, 7, rep))
+        outkeys, vs = combination_batch(key64s, weights, cfg, ordinals, a, tau=0.0)
+        out[rep] = exact_measurement((outkeys, vs), "max_distinct") / r
+    return out, exact
 
 
 def test_criterion_4_combination_unbiasedness():

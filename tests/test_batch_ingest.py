@@ -175,12 +175,13 @@ def test_lookup_finds_pool_members(pool, extra):
 SUBNORMAL = 1e-320
 
 
-def _pipelines():
+def _pipelines(ordinal_base=0):
     a = inverse_transform(parse_statistic("sqrt"))
+    signed = _signed_function(parse_statistic("capT=5"))
     return [
-        FullRangePipeline(r=3, epsilon=0.3, k=8),
-        CombinationPipeline(a, r=3, epsilon=0.3, k=8),
-        SignedCombinationPipeline(_signed_function(parse_statistic("capT=5")), r=3, epsilon=0.3, k=8),
+        FullRangePipeline(r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base),
+        CombinationPipeline(a, r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base),
+        SignedCombinationPipeline(signed, r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base),
     ]
 
 
@@ -209,8 +210,8 @@ def test_batch_rejects_values_elements_reject(bad):
         FullRangePipeline(r=3, epsilon=0.3, k=8).ingest_batch(k64, np.array([1.0, bad]))
 
 
-def _all_pipelines():
-    return [PointPipeline.for_soft_cap(5.0, r=3, epsilon=0.3, k=8), *_pipelines()]
+def _all_pipelines(ordinal_base=0):
+    return [PointPipeline.for_soft_cap(5.0, r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base), *_pipelines(ordinal_base)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, SUBNORMAL])
@@ -225,6 +226,23 @@ def test_rejected_values_leave_pipeline_unchanged(index, bad):
     assert pipeline.to_bytes() == before
     with pytest.raises(ElementValidationError):
         pipeline.ingest((b"b", bad))
+    assert pipeline.to_bytes() == before
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_ordinals_past_u64_leave_pipeline_unchanged(index):
+    # from base 2**64 - 2 two elements get the last two u64 ordinals
+    pipeline = _all_pipelines(ordinal_base=2**64 - 2)[index]
+    pipeline.ingest(Element(b"a", 1.0))
+    before = pipeline.to_bytes()
+    k64 = np.array([hash_key(b"c"), hash_key(b"b")], dtype=np.uint64)
+    with pytest.raises(ElementValidationError, match="ordinal"):
+        pipeline.ingest_batch(k64, np.array([1.0, 2.0]))
+    assert pipeline.to_bytes() == before
+    pipeline.ingest_batch(k64[:1], np.array([1.0]))
+    before = pipeline.to_bytes()
+    with pytest.raises(ElementValidationError, match="ordinal"):
+        pipeline.ingest(Element(b"b", 2.0))
     assert pipeline.to_bytes() == before
 
 

@@ -4,6 +4,7 @@ from capsketch import PointPipeline
 from capsketch.cli import main, read_sketch_file
 from capsketch.oracle import exact_statistic
 from capsketch.transforms import parse_statistic
+from test_golden import ROUTES
 
 
 def run(capsys, *argv):
@@ -223,6 +224,43 @@ def test_out_of_range_build_options_exit_2(capsys, tmp_path, option):
     assert code == 2 and stdout == ""
     assert err.startswith(f"error: {option[0]} ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [(), ("--r", "1", "--k", "10")])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_epsilon_whose_sizes_overflow_exits_2(capsys, tmp_path, toy_tsv, route, sizes):
+    # 3/epsilon^2 (the gate and the sideline size) overflows a float
+    mode, stat = ROUTES[route]
+    out = tmp_path / "x.fsk"
+    code, stdout, err = run(capsys, "build", toy_tsv, "--mode", mode, "--stat", stat, "--epsilon", "1e-200", *sizes, "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --epsilon ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_ordinals_past_u64_exit_2(capsys, tmp_path, route):
+    # three elements need three ordinals; the last u64 ordinal is 2**64 - 1
+    tsv = write_tsv(tmp_path / "in.tsv", [b"a\t1", b"b\t2", b"c\t3"])
+    mode, stat = ROUTES[route]
+    out = tmp_path / "x.fsk"
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "1", "--k", "10", "-o", str(out)]
+    code, stdout, err = run(capsys, *argv, "--ordinal-base", str(2**64 - 1))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ordinal base ") and err.count("\n") == 1
+    assert not out.exists()
+    assert run(capsys, *argv, "--ordinal-base", str(2**64 - 3))[0] == 0
+
+
+@pytest.mark.parametrize("t", ["-1", "nan"])
+def test_estimate_threshold_out_of_range_exits_2(capsys, tmp_path, toy_tsv, t):
+    fr = tmp_path / "fr.fsk"
+    run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "fullrange", "--r", "5", "-o", str(fr))
+    code, stdout, err = run(capsys, "estimate", str(fr), "--t", t)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --t ") and err.count("\n") == 1
+    code, stdout, _ = run(capsys, "estimate", str(fr), "--t", "inf")
+    assert code == 0 and first_number(stdout, "estimate") > 0
 
 
 def test_incompatible_merge_exit_code(capsys, tmp_path, toy_tsv):

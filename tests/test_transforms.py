@@ -176,6 +176,14 @@ def test_log1p_tail_is_exponential_integral():
         assert tail_integral(log_a, tau) == pytest.approx(special.exp1(tau), rel=1e-12)
 
 
+def test_log1p_tail_matches_scipy_exponential_integral():
+    # the numpy E1 over every tau a draw or breakpoint can reach
+    tau = np.logspace(-300, np.log10(700), 4001)
+    tail = inverse_transform("log1p").tail(tau)
+    np.testing.assert_allclose(tail, special.exp1(tau), rtol=1e-14, atol=0)
+    assert tail_integral(inverse_transform("log1p"), 0.0, allow_infinite=True) == math.inf
+
+
 _FAMILIES = [
     MomentDensity(0.5),
     MomentDensity(0.25),
