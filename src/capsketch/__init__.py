@@ -38,7 +38,6 @@ from .transforms import (
     StatisticSpec,
     THREE_POINT_STABLE,
     THREE_POINT_TIGHT,
-    cap,
     cap1_approximation,
     capping_transform,
     head_integral,

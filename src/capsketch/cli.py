@@ -24,6 +24,7 @@ from .core import (
     MIN_EPSILON,
     Element,
     ElementValidationError,
+    IllPosedTransformError,
     IncompatibleSketchError,
     ParseError,
     UnsupportedStatisticError,
@@ -145,7 +146,8 @@ def _route(mode: str, spec: StatisticSpec):
     if mode == "point":
         if spec.name != "softcap":
             raise UnsupportedStatisticError(f"point mode measures softcapT statistics; got {spec.descriptor()!r}")
-        return PointPipeline, (1.0 / spec.params["T"],)
+        ((t, _),) = inverse_transform(spec).deltas
+        return PointPipeline, (t,)
     if mode in ("combination", "signed"):
         if spec.name in ("cap", "cap1approx"):
             return SignedCombinationPipeline, (_signed_function(spec),)
@@ -219,9 +221,7 @@ def _print_signed(est) -> None:
 
 def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: float):
     name = spec.name
-    if name == "softcap":
-        print(f"estimate: {pipeline.estimate_soft_cap(spec.params['T']):.10g}")
-    elif name in ("moment", "sqrt", "log1p"):
+    if name in ("softcap", "moment", "sqrt", "log1p"):
         print(f"estimate: {pipeline.estimate_combination(inverse_transform(spec)):.10g}")
     elif name in ("cap", "cap1approx"):
         signed = _signed_function(spec)
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except IncompatibleSketchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except UnsupportedStatisticError as exc:
+    except (UnsupportedStatisticError, IllPosedTransformError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 

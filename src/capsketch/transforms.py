@@ -14,6 +14,10 @@ continuous families) with closed-form tail integrals ``int_tau^inf a`` and
 head integrals ``int_0^tau t a(t) dt``, which is what the element mappers need
 per draw; nothing in the hot path does quadrature. Only the quadrature
 fallbacks of ``lapm`` need scipy, which they import when called.
+
+Continuous families compute on float64 arrays; the public functions and
+methods also take a scalar and return a float for it. Each statistic is
+defined once, by its descriptor form and pointwise f in ``_STATISTICS``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ __all__ = [
     "StatisticSpec",
     "parse_statistic",
     "soft_cap",
-    "cap",
     "laplace_c",
     "CoefficientFunction",
     "SignedCoefficientFunction",
@@ -59,6 +62,27 @@ CAP1_ERROR_GRID = np.logspace(-3, 3, 200)
 # ---------------------------------------------------------------------------
 # statistic descriptors
 
+# name -> (descriptor form with one {field} per parameter, or None where no
+# descriptor names the statistic; pointwise f(params, w) on float64 arrays)
+_STATISTICS = {
+    "cap": ("capT={T}", lambda q, w: np.minimum(q["T"], w)),
+    "softcap": ("softcapT={T}", lambda q, w: q["T"] * -np.expm1(-w / q["T"])),
+    "moment": ("moment={p}", lambda q, w: w ** q["p"]),
+    "sqrt": ("sqrt", lambda q, w: np.sqrt(w)),
+    "log1p": ("log1p", lambda q, w: np.log1p(w)),
+    "clipped_moment": (None, lambda q, w: np.minimum(w, w ** q["p"])),
+    "distinct": ("distinct", lambda q, w: (w > 0).astype(np.float64)),
+    "sum": ("sum", lambda q, w: w.copy()),
+    "cap1approx": ("cap1approx=A:{A},b1:{b1},b2:{b2}", lambda q, w: np.minimum(1.0, w)),
+}
+
+# each form as a pattern whose named groups take one comma-free parameter each
+_PATTERNS = {
+    name: re.compile(re.sub(r"\\\{(\w+)\\\}", r"(?P<\1>[^,]+)", re.escape(form)))
+    for name, (form, _) in _STATISTICS.items()
+    if form is not None
+}
+
 
 @dataclass(frozen=True)
 class StatisticSpec:
@@ -69,90 +93,50 @@ class StatisticSpec:
 
     def evaluate(self, w):
         """Pointwise f(w); accepts floats or numpy arrays. f(0) = 0 throughout."""
-        w = np.asarray(w, dtype=np.float64)
-        n = self.name
-        if n == "cap":
-            out = np.minimum(self.params["T"], w)
-        elif n == "softcap":
-            out = soft_cap(self.params["T"], w)
-        elif n == "moment":
-            out = w ** self.params["p"]
-        elif n == "sqrt":
-            out = np.sqrt(w)
-        elif n == "log1p":
-            out = np.log1p(w)
-        elif n == "clipped_moment":
-            out = np.minimum(w, w ** self.params["p"])
-        elif n == "distinct":
-            out = (w > 0).astype(np.float64)
-        elif n == "sum":
-            out = w.astype(np.float64)
-        elif n == "cap1approx":
-            out = np.minimum(1.0, w)
-        else:
-            raise UnsupportedStatisticError(f"cannot evaluate statistic {n!r}")
-        out = np.asarray(out, dtype=np.float64)
+        if self.name not in _STATISTICS:
+            raise UnsupportedStatisticError(f"cannot evaluate statistic {self.name!r}")
+        out = _STATISTICS[self.name][1](self.params, np.asarray(w, dtype=np.float64))
         return out if out.ndim else float(out)
 
     def descriptor(self) -> str:
         """Canonical descriptor string (inverse of :func:`parse_statistic`)."""
-        n = self.name
-        if n == "cap":
-            return f"capT={self.params['T']:g}"
-        if n == "softcap":
-            return f"softcapT={self.params['T']:g}"
-        if n == "moment":
-            return f"moment={self.params['p']:g}"
-        if n == "cap1approx":
-            p = self.params
-            return f"cap1approx=A:{p['A']:g},b1:{p['b1']:g},b2:{p['b2']:g}"
-        return n
+        form = _STATISTICS.get(self.name, (None,))[0] or self.name
+        return form.format(**{key: _number(v) for key, v in self.params.items()})
+
+
+def _number(v: float) -> str:
+    """``%g`` of ``v`` when that reads back exactly, else its exact repr."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
 
 
 def parse_statistic(text: str) -> StatisticSpec:
     """Parse a statistic descriptor.
 
     Supported: ``capT=5``, ``softcapT=5``, ``moment=0.5``, ``sqrt``, ``log1p``,
-    ``distinct``, ``sum``, ``cap1approx=A:1.5,b1:0.6,b2:7.97``.
+    ``distinct``, ``sum``, ``cap1approx=A:1.5,b1:0.6,b2:7.97``. Every
+    parameter is positive and finite.
     """
     text = text.strip()
-    if text in ("sqrt", "log1p", "distinct", "sum"):
-        return StatisticSpec(text)
-    m = re.fullmatch(r"capT=([^,]+)", text)
-    if m:
-        T = _positive(m.group(1), "capT")
-        return StatisticSpec("cap", {"T": T})
-    m = re.fullmatch(r"softcapT=([^,]+)", text)
-    if m:
-        T = _positive(m.group(1), "softcapT")
-        return StatisticSpec("softcap", {"T": T})
-    m = re.fullmatch(r"moment=([^,]+)", text)
-    if m:
-        p = _as_float(m.group(1), "moment")
-        if not 0.0 < p < 1.0:
-            raise UnsupportedStatisticError(f"moment exponent must be in (0,1), got {p}")
-        return StatisticSpec("moment", {"p": p})
-    m = re.fullmatch(r"cap1approx=A:([^,]+),b1:([^,]+),b2:([^,]+)", text)
-    if m:
-        A = _positive(m.group(1), "cap1approx A")
-        b1 = _positive(m.group(2), "cap1approx b1")
-        b2 = _positive(m.group(3), "cap1approx b2")
-        if not (b1 < 1.0 < b2):
-            raise UnsupportedStatisticError(f"cap1approx needs b1 < 1 < b2, got b1={b1} b2={b2}")
-        return StatisticSpec("cap1approx", {"A": A, "b1": b1, "b2": b2})
-    raise UnsupportedStatisticError(f"unrecognized statistic descriptor {text!r}")
-
-
-def _as_float(s: str, what: str) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        raise UnsupportedStatisticError(f"bad {what} parameter {s!r}") from None
+    for name, pattern in _PATTERNS.items():
+        if m := pattern.fullmatch(text):
+            break
+    else:
+        raise UnsupportedStatisticError(f"unrecognized statistic descriptor {text!r}")
+    params = {key: _positive(v, f"{name} {key}") for key, v in m.groupdict().items()}
+    if name == "moment" and not params["p"] < 1.0:
+        raise UnsupportedStatisticError(f"moment exponent must be in (0,1), got {params['p']}")
+    if name == "cap1approx" and not params["b1"] < 1.0 < params["b2"]:
+        raise UnsupportedStatisticError(f"cap1approx needs b1 < 1 < b2, got b1={params['b1']} b2={params['b2']}")
+    return StatisticSpec(name, params)
 
 
 def _positive(s: str, what: str) -> float:
-    v = _as_float(s, what)
-    if not v > 0.0 or v == float("inf"):
+    try:
+        v = float(s)
+    except ValueError:
+        raise UnsupportedStatisticError(f"bad {what} parameter {s!r}") from None
+    if not 0.0 < v < float("inf"):
         raise UnsupportedStatisticError(f"{what} parameter must be positive and finite, got {v}")
     return v
 
@@ -161,17 +145,11 @@ def _positive(s: str, what: str) -> float:
 # basic statistics of a frequency distribution
 
 
-def cap(T: float, w):
-    """Hard capping min(T, w)."""
-    return np.minimum(T, w) if np.ndim(w) else min(float(T), float(w))
-
-
 def soft_cap(T: float, w):
     """Smooth capping T(1 - exp(-w/T)); sandwiched between (1-1/e)min(T,w) and min(T,w)."""
     if not T > 0.0:
         raise ValueError(f"soft cap scale T must be > 0, got {T}")
-    out = T * -np.expm1(-np.asarray(w, dtype=np.float64) / T)
-    return out if out.ndim else float(out)
+    return StatisticSpec("softcap", {"T": T}).evaluate(w)
 
 
 def laplace_c(dist, t):
@@ -206,7 +184,7 @@ def _exp1(x: np.ndarray) -> np.ndarray:
     continued fraction of fixed depth evaluated backward above (Abramowitz
     and Stegun 5.1.11 and 5.1.22). Within 3e-15 relative of
     ``scipy.special.exp1`` on [1e-300, 700]."""
-    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    flat = x.reshape(-1)
     out = np.empty_like(flat)
     small = flat <= 1.5
     if small.any():
@@ -225,11 +203,27 @@ def _exp1(x: np.ndarray) -> np.ndarray:
             t += 1.0
             np.divide(k, t, out=t)
         out[~small] = np.exp(-h) / (h + t)
-    return out.reshape(np.shape(x))
+    return out.reshape(x.shape)
+
+
+def _quad_each(integrand: Callable, w: np.ndarray) -> np.ndarray:
+    """int_0^inf integrand(t, x) dt for each x of ``w``, and 0 where x = 0; needs scipy."""
+    from scipy import integrate
+
+    out = np.zeros_like(w)
+    for i, x in np.ndenumerate(w):
+        if x != 0.0:
+            out[i] = integrate.quad(integrand, 0.0, np.inf, args=(x,), **_QUAD_OPTS)[0]
+    return out
+
+
+def _check_exponent(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"moment exponent must be in (0,1), got {p}")
 
 
 class ContinuousFamily:
-    """A nonnegative density a(t) with closed-form tail and head integrals."""
+    """A nonnegative density a(t) with closed-form tail and head integrals, on float64 arrays."""
 
     def density(self, t):
         raise NotImplementedError
@@ -244,15 +238,7 @@ class ContinuousFamily:
 
     def lapm(self, w):
         """int_0^inf a(t) (1 - exp(-w t)) dt; quadrature fallback, which needs scipy."""
-        from scipy import integrate
-
-        if np.ndim(w):
-            return np.array([self.lapm(float(x)) for x in np.asarray(w).ravel()]).reshape(np.shape(w))
-        w = float(w)
-        if w == 0.0:
-            return 0.0
-        val, _ = integrate.quad(lambda t: self.density(t) * -np.expm1(-w * t), 0.0, np.inf, **_QUAD_OPTS)
-        return val
+        return _quad_each(lambda t, x: self.density(t) * -np.expm1(-x * t), w)
 
 
 @dataclass(frozen=True)
@@ -262,26 +248,20 @@ class MomentDensity(ContinuousFamily):
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"moment exponent must be in (0,1), got {self.p}")
+        _check_exponent(self.p)
 
     def density(self, t):
-        return self.p / gamma(1.0 - self.p) * np.asarray(t, dtype=np.float64) ** (-1.0 - self.p)
+        return self.p / gamma(1.0 - self.p) * t ** (-1.0 - self.p)
 
     def tail(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
         with np.errstate(divide="ignore"):
-            out = 1.0 / (tau**self.p * gamma(1.0 - self.p))
-        return out if out.ndim else float(out)
+            return 1.0 / (tau**self.p * gamma(1.0 - self.p))
 
     def head(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
-        out = self.p * tau ** (1.0 - self.p) / ((1.0 - self.p) * gamma(1.0 - self.p))
-        return out if out.ndim else float(out)
+        return self.p * tau ** (1.0 - self.p) / ((1.0 - self.p) * gamma(1.0 - self.p))
 
     def lapm(self, w):
-        out = np.asarray(w, dtype=np.float64) ** self.p
-        return out if out.ndim else float(out)
+        return w**self.p
 
 
 @dataclass(frozen=True)
@@ -292,21 +272,16 @@ class ReciprocalExpDensity(ContinuousFamily):
     """
 
     def density(self, t):
-        t = np.asarray(t, dtype=np.float64)
         return np.exp(-t) / t
 
     def tail(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
-        out = np.where(tau == 0.0, np.inf, _exp1(np.maximum(tau, 1e-300)))
-        return out if out.ndim else float(out)
+        return np.where(tau == 0.0, np.inf, _exp1(np.maximum(tau, 1e-300)))
 
     def head(self, tau):
-        out = -np.expm1(-np.asarray(tau, dtype=np.float64))
-        return out if out.ndim else float(out)
+        return -np.expm1(-tau)
 
     def lapm(self, w):
-        out = np.log1p(np.asarray(w, dtype=np.float64))
-        return out if out.ndim else float(out)
+        return np.log1p(w)
 
 
 @dataclass(frozen=True)
@@ -320,23 +295,18 @@ class ExpDensity(ContinuousFamily):
             raise ValueError(f"scale T must be > 0, got {self.T}")
 
     def density(self, t):
-        return np.exp(-np.asarray(t, dtype=np.float64) / self.T) / self.T
+        return np.exp(-t / self.T) / self.T
 
     def tail(self, tau):
-        out = np.exp(-np.asarray(tau, dtype=np.float64) / self.T)
-        return out if out.ndim else float(out)
+        return np.exp(-tau / self.T)
 
     def head(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
         x = tau / self.T
         with np.errstate(invalid="ignore"):
-            out = self.T * -np.expm1(-x) - np.where(np.isinf(tau), 0.0, tau * np.exp(-x))
-        return out if out.ndim else float(out)
+            return self.T * -np.expm1(-x) - np.where(np.isinf(tau), 0.0, tau * np.exp(-x))
 
     def lapm(self, w):
-        w = np.asarray(w, dtype=np.float64)
-        out = w * self.T / (1.0 + w * self.T)
-        return out if out.ndim else float(out)
+        return w * self.T / (1.0 + w * self.T)
 
 
 @dataclass(frozen=True)
@@ -344,16 +314,13 @@ class InverseSquareDensity(ContinuousFamily):
     """Capping coefficient of log(1+w): a(t) = 1 / (1+t)^2."""
 
     def density(self, t):
-        return 1.0 / (1.0 + np.asarray(t, dtype=np.float64)) ** 2
+        return 1.0 / (1.0 + t) ** 2
 
     def tail(self, tau):
-        out = 1.0 / (1.0 + np.asarray(tau, dtype=np.float64))
-        return out if out.ndim else float(out)
+        return 1.0 / (1.0 + tau)
 
     def head(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
-        out = np.log1p(tau) - np.where(np.isinf(tau), 1.0, tau / (1.0 + tau))
-        return out if out.ndim else float(out)
+        return np.log1p(tau) - np.where(np.isinf(tau), 1.0, tau / (1.0 + tau))
 
 
 @dataclass(frozen=True)
@@ -364,22 +331,16 @@ class PowerTailAboveOne(ContinuousFamily):
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"moment exponent must be in (0,1), got {self.p}")
+        _check_exponent(self.p)
 
     def density(self, t):
-        t = np.asarray(t, dtype=np.float64)
         return np.where(t > 1.0, self.p * (1.0 - self.p) * t ** (self.p - 2.0), 0.0)
 
     def tail(self, tau):
-        tau = np.maximum(np.asarray(tau, dtype=np.float64), 1.0)
-        out = self.p * tau ** (self.p - 1.0)
-        return out if out.ndim else float(out)
+        return self.p * np.maximum(tau, 1.0) ** (self.p - 1.0)
 
     def head(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
-        out = np.where(tau <= 1.0, 0.0, (1.0 - self.p) * (np.maximum(tau, 1.0) ** self.p - 1.0))
-        return out if out.ndim else float(out)
+        return np.where(tau <= 1.0, 0.0, (1.0 - self.p) * (np.maximum(tau, 1.0) ** self.p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -405,39 +366,22 @@ class LiftedDensity(ContinuousFamily):
             raise ValueError("lifted point mass needs s > 0 and m > 0")
 
     def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
         return self.m * self.s**2 * self.base.density(self.s / x) / x**3
 
-    def tail(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
+    def _dual(self, tau):
+        """s / tau, with s / 0 = inf."""
         with np.errstate(divide="ignore"):
-            arg = np.where(tau == 0.0, np.inf, self.s / np.maximum(tau, 1e-300))
-        out = self.m * np.asarray(self.base.head(arg), dtype=np.float64)
-        return out if out.ndim else float(out)
+            return np.where(tau == 0.0, np.inf, self.s / np.maximum(tau, 1e-300))
+
+    def tail(self, tau):
+        return self.m * self.base.head(self._dual(tau))
 
     def head(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            arg = np.where(tau == 0.0, np.inf, self.s / np.maximum(tau, 1e-300))
-        out = self.m * self.s * np.asarray(self.base.tail(arg), dtype=np.float64)
-        return out if out.ndim else float(out)
+        return self.m * self.s * self.base.tail(self._dual(tau))
 
     def lapm(self, w):
-        """Quadrature, which needs scipy."""
-        from scipy import integrate
-
-        if np.ndim(w):
-            return np.array([self.lapm(float(x)) for x in np.asarray(w).ravel()]).reshape(np.shape(w))
-        w = float(w)
-        if w == 0.0:
-            return 0.0
-
-        def integrand(T):
-            return self.base.density(T) * T * -np.expm1(-w * self.s / T)
-
-        val, _ = integrate.quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
-        return self.m * val
-
+        """Quadrature in T = s / x, which needs scipy."""
+        return self.m * _quad_each(lambda T, x: self.base.density(T) * T * -np.expm1(-x * self.s / T), w)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +444,7 @@ class CoefficientFunction:
         for loc, mass in self.deltas:
             out = out - mass * np.expm1(-w_arr * loc)
         for part in self.parts:
-            out = out + np.asarray(part.lapm(w_arr), dtype=np.float64)
+            out = out + part.lapm(w_arr)
         return out if out.ndim else float(out)
 
 
@@ -532,6 +476,8 @@ def inverse_transform(spec: StatisticSpec | str) -> CoefficientFunction:
     n = spec.name
     if n == "softcap":
         T = spec.params["T"]
+        if not 1.0 / T < np.inf:
+            raise UnsupportedStatisticError(f"soft capping scale {T!r} has no finite reciprocal")
         return CoefficientFunction(deltas=((1.0 / T, T),))
     if n == "moment":
         return CoefficientFunction(parts=(MomentDensity(spec.params["p"]),))
@@ -709,6 +655,8 @@ def _lift_side(side: CoefficientFunction, ct: CappingTransform) -> CoefficientFu
             # point mass M at capping scale T composes to mass M*T*m at s/T
             pos = s / loc
             deltas[pos] = deltas.get(pos, 0.0) + mass * loc * m
+            if not (np.isfinite(pos) and np.isfinite(deltas[pos])):
+                raise UnsupportedStatisticError(f"capping scale {loc!r} lifts to a point mass out of float range")
         for base in ct.coef.parts:
             parts.append(LiftedDensity(base, s, m))
     return CoefficientFunction(tuple(deltas.items()), tuple(parts))

@@ -57,16 +57,19 @@ def test_cli_output_counts(capsys, tmp_path, toy_tsv):
     assert "output elements:" in stdout
 
 
-def test_estimate_matches_in_process(capsys, tmp_path, toy_tsv, toy_elements):
+# at T = 2 the estimate is the t * SUM fallback, in which T cancels; at
+# T = 1.23456789 the sketch path is taken, which needs T stored exactly
+@pytest.mark.parametrize("T", [2.0, 1.23456789])
+def test_estimate_matches_in_process(capsys, tmp_path, toy_tsv, toy_elements, T):
     out = tmp_path / "s.fsk"
-    run(capsys, "build", toy_tsv, "--stat", "softcapT=2", "--mode", "point",
+    run(capsys, "build", toy_tsv, "--stat", f"softcapT={T!r}", "--mode", "point",
         "--epsilon", "0.3", "--r", "5", "--k", "64", "--seed", "9", "-o", str(out))
     code, stdout, _ = run(capsys, "estimate", str(out))
     assert code == 0
-    pipe = PointPipeline.for_soft_cap(2.0, r=5, epsilon=0.3, k=64, seed=9)
+    pipe = PointPipeline.for_soft_cap(T, r=5, epsilon=0.3, k=64, seed=9)
     for e in toy_elements:
         pipe.ingest(e)
-    assert first_number(stdout, "estimate") == pytest.approx(2.0 * pipe.estimate(), rel=1e-9)
+    assert first_number(stdout, "estimate") == pytest.approx(T * pipe.estimate(), rel=1e-9)
 
 
 def test_default_value_column(capsys, tmp_path):
@@ -288,6 +291,23 @@ def test_unsupported_statistic_exit_codes(capsys, tmp_path, toy_tsv):
     run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "point", "-o", str(pt))
     code, _, _ = run(capsys, "estimate", str(pt), "--stat", "softcapT=2")
     assert code == 4
+
+
+# capping scales whose lifted point masses or reciprocal leave the float
+# range, and an ill-posed three-point approximation
+@pytest.mark.parametrize("stat", ["capT=1e-320", "capT=1e-308", "capT=1e308", "cap1approx=A:1e308,b1:0.6,b2:7.97", "softcapT=1e-320"])
+def test_statistics_out_of_float_range_exit_4(capsys, tmp_path, stat):
+    tsv = write_tsv(tmp_path / "in.tsv", [b"a\t1", b"b\t2", b"c\t3"])
+    sizes = ["--r", "1", "--k", "10"]
+    fr, out = tmp_path / "fr.fsk", tmp_path / "x.fsk"
+    assert run(capsys, "build", tsv, "--mode", "fullrange", "--stat", "sqrt", *sizes, "-o", str(fr))[0] == 0
+    for argv in (["build", tsv, "--mode", "combination", "--stat", stat, *sizes, "-o", str(out)],
+                 ["build", tsv, "--mode", "point", "--stat", stat, *sizes, "-o", str(out)],
+                 ["estimate", str(fr), "--stat", stat]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_build_r_auto(capsys, tmp_path, toy_tsv):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from capsketch import (
@@ -385,12 +387,35 @@ def test_lift_rejects():
 
 
 def test_parse_statistic_round_trip():
-    cases = ["capT=5", "softcapT=0.5", "moment=0.25", "sqrt", "log1p", "distinct", "sum"]
+    cases = ["capT=5", "softcapT=0.5", "moment=0.25", "sqrt", "log1p", "distinct", "sum",
+             "softcapT=0.123456789", "moment=0.123456789", "capT=3.14159265",
+             "cap1approx=A:1.123456789,b1:0.6,b2:7.97"]
     for text in cases:
         spec = parse_statistic(text)
         assert parse_statistic(spec.descriptor()) == spec
     spec = parse_statistic("cap1approx=A:1.5,b1:0.6,b2:7.97")
     assert spec.params == {"A": 1.5, "b1": 0.6, "b2": 7.97}
+    assert parse_statistic(spec.descriptor()) == spec
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(lambda T: StatisticSpec("cap", {"T": T}), _POSITIVE),
+        st.builds(lambda T: StatisticSpec("softcap", {"T": T}), _POSITIVE),
+        st.builds(lambda p: StatisticSpec("moment", {"p": p}), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        st.builds(
+            lambda A, b1, b2: StatisticSpec("cap1approx", {"A": A, "b1": b1, "b2": b2}),
+            _POSITIVE,
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(1.0, exclude_min=True, allow_infinity=False),
+        ),
+    )
+)
+def test_descriptor_round_trips_every_parameter(spec):
     assert parse_statistic(spec.descriptor()) == spec
 
 
