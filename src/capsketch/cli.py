@@ -163,11 +163,10 @@ def _load_pipeline(header: SketchFileHeader, sections: list[bytes]):
 
 
 def _emitted(pipeline) -> int:
+    """Output elements of a non-point build, which emits every draw."""
     if isinstance(pipeline, SignedCombinationPipeline):
         return pipeline.plus.count * pipeline.plus.r + pipeline.minus.count * pipeline.minus.r
-    if isinstance(pipeline, (CombinationPipeline, FullRangePipeline)):
-        return pipeline.count * pipeline.r
-    return pipeline.emitted
+    return pipeline.count * pipeline.r
 
 
 def _cmd_build(args) -> int:
@@ -192,7 +191,8 @@ def _cmd_build(args) -> int:
         n += len(keys)
     write_sketch_file(args.output, pipeline.to_bytes(spec.descriptor()))
     print(f"elements: {n}")
-    print(f"output elements: {_emitted(pipeline)}")
+    if not isinstance(pipeline, PointPipeline):  # a point build never draws most cells
+        print(f"output elements: {_emitted(pipeline)}")
     return EXIT_OK
 
 

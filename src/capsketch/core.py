@@ -33,6 +33,7 @@ __all__ = [
     "hash_keys",
     "outkey_block",
     "rank_uniforms",
+    "base_ranks",
 ]
 
 
@@ -128,6 +129,11 @@ def rank_uniforms(outkeys: np.ndarray, seed: int) -> np.ndarray:
     return _to_unit_np(_mix64_np(outkeys.astype(np.uint64) ^ salt))
 
 
+def base_ranks(outkeys: np.ndarray, seed: int) -> np.ndarray:
+    """Exponential sketch ranks -ln(u) of outkeys, u from :func:`rank_uniforms`."""
+    return -np.log(rank_uniforms(outkeys, seed))
+
+
 class RandomnessSource:
     """Counter-based uniform source keyed by (seed, element ordinal, replica).
 
@@ -142,17 +148,23 @@ class RandomnessSource:
         self.seed = int(seed) & _M64
         self._chain = _mix64(self.seed ^ _DRAW_SALT)
 
-    def uniform_block(self, ordinals: np.ndarray, r: int) -> np.ndarray:
+    def uniform_block(self, ordinals: np.ndarray, r: int | np.ndarray) -> np.ndarray:
         """Uniforms in (0,1) for every (ordinal, replica) pair, shape (len(ordinals), r).
 
         Entry (j, i) depends only on the seed, ``ordinals[j]`` and ``i``, so
-        any split of the ordinals into blocks yields the same bits.
+        any split of the ordinals into blocks yields the same bits. When
+        ``r`` is an array of replica indices instead of a count, it is
+        broadcast against ``ordinals``, and each entry is the uniform of the
+        (ordinal, replica) pair at its position, with the same bits.
         """
+        rows = np.asarray(ordinals, dtype=np.uint64)
+        if np.ndim(r) == 0:
+            rows, r = rows[:, None], np.arange(r, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            rows = np.asarray(ordinals, dtype=np.uint64) * np.uint64(_GOLDEN)
-            cols = np.arange(r, dtype=np.uint64) * np.uint64(_GOLDEN2)
+            rows = rows * np.uint64(_GOLDEN)
+            cols = np.asarray(r, dtype=np.uint64) * np.uint64(_GOLDEN2)
             h = _mix64_np(np.uint64(self._chain) ^ rows)
-            h = _mix64_np(h[:, None] ^ cols[None, :])
+            h = _mix64_np(h ^ cols)
         return _to_unit_np(h)
 
 

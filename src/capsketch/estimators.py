@@ -143,7 +143,6 @@ class PointPipeline(_PipelineBase):
             raise ValueError(f"threshold t must be >= 0, got {t}")
         self.t = float(t)
         self.counter = DistinctCounter(k, seed)
-        self.emitted = 0
 
     @classmethod
     def for_soft_cap(cls, T: float, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
@@ -158,9 +157,8 @@ class PointPipeline(_PipelineBase):
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
-        outkeys = point_outkeys_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
+        outkeys = point_outkeys_batch(key64s, values, self._cfg(), ordinals, self.k, self.counter.kth())
         self.count += len(values)
-        self.emitted += len(outkeys)
         self.counter.update_batch(outkeys)
         self.sum_counter.update_batch(values)
 
@@ -172,7 +170,6 @@ class PointPipeline(_PipelineBase):
         out.counter = self.counter.merge(other.counter)
         out.sum_counter = self.sum_counter.merge(other.sum_counter)
         out.count = self.count + other.count
-        out.emitted = self.emitted + other.emitted
         return out
 
     def estimate(self) -> float:

@@ -8,8 +8,11 @@ coefficient function itself (``CombinationPipeline``).
 
 Every replica draw is keyed by (seed, element ordinal, replica index), so a
 mapping is a pure function of the element, its ordinal and the config. The
-mappings take arrays of elements. The point mapping emits exactly the outkeys
-that mapping each element on its own would. The full-range mapping emits one
+mappings take arrays of elements. The point mapping emits, once each, the
+outkeys that mapping each element on its own would; given the bound of the
+bottom-k counter it feeds, it draws only the (key, replica) cells whose rank
+can enter that counter, and emits outkeys that leave the counter as all of
+them would. The full-range mapping emits one
 output per distinct (key, replica) of the call, carrying the smallest of that
 pair's draws: the threshold and max-distinct statistics of the output
 elements depend on each outkey's smallest draw only, so this keeps every
@@ -24,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MIN_EPSILON, ElementValidationError, RandomnessSource, outkey_block
+from .core import MIN_EPSILON, ElementValidationError, RandomnessSource, base_ranks, outkey_block
 
 __all__ = [
     "MapperConfig",
@@ -93,30 +96,141 @@ def _chunks(n: int, r: int) -> Iterable[tuple[int, int]]:
         yield lo, min(n, lo + rows)
 
 
+def _group(key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray):
+    """(keys, values, ordinals, starts): the rows sorted by key, so that each
+    key's elements are one run of rows, and the first row of each run."""
+    order = np.argsort(key64s)
+    skeys = key64s[order]
+    starts = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
+    return skeys, values[order], ordinals[order], starts
+
+
+def _run_minima(src: RandomnessSource, ordinals: np.ndarray, values: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
+    """Smallest replica-i draw of each run of rows (runs begin at ``starts``),
+    shape (len(starts), r), drawn a chunk of rows at a time."""
+    # A chunk's runs are reduced with one minimum.reduceat, skipped when each
+    # run is one row (reduceat costs far more than the draws it copies); a run
+    # cut by a chunk boundary is folded into the same output row from both sides.
+    mins = np.full((len(starts), r), inf)
+    for lo, hi in _chunks(len(values), r):
+        y = _draws(src, ordinals[lo:hi], values[lo:hi], r)
+        g0 = int(np.searchsorted(starts, lo, side="right")) - 1
+        g1 = int(np.searchsorted(starts, hi, side="left"))
+        cuts = np.r_[lo, starts[g0 + 1 : g1]] - lo
+        if len(cuts) < hi - lo:
+            y = np.minimum.reduceat(y, cuts, axis=0)
+        np.minimum(mins[g0:g1], y, out=mins[g0:g1])
+    return mins
+
+
+def _below(ranks: np.ndarray, okeys: np.ndarray, kth: tuple[float, int]) -> np.ndarray:
+    """Mask of the (rank, outkey) pairs below ``kth`` in (rank, outkey) order."""
+    rank, okey = kth
+    return (ranks < rank) | ((ranks == rank) & (okeys < np.uint64(okey)))
+
+
+def _fire_dense(src, ordinals, values, starts, ends, r: int, t: float) -> np.ndarray:
+    """Whether each cell of a block of keys fires, every row drawn at every
+    replica. Cell c is replica ``c % r`` of the key whose rows are
+    ``starts[c // r]`` to ``ends[c // r]``; the block's rows are contiguous."""
+    lo, hi = starts[0], ends[-1]
+    return _run_minima(src, ordinals[lo:hi], values[lo:hi], starts - lo, r).ravel() <= t
+
+
+def _fire_gathered(src, ordinals, values, starts, ends, r: int, t: float, cells: np.ndarray) -> tuple[np.ndarray, int]:
+    """Whether each of the given cells fires, its key's rows drawn at its
+    replica only, and the number of draws taken; cells as for :func:`_fire_dense`."""
+    keys = cells // r
+    lens = ends[keys] - starts[keys]
+    at = np.cumsum(lens) - lens
+    rows = np.arange(int(lens.sum())) + np.repeat(starts[keys] - at, lens)
+    # the bits of _draws: log(u) / -v
+    y = src.uniform_block(ordinals[rows], np.repeat(cells % r, lens))
+    np.log(y, out=y)
+    y /= -values[rows]
+    return np.logical_or.reduceat(y <= t, at), len(rows)
+
+
 def point_outkeys_batch(
     key64s: np.ndarray,
     values: np.ndarray,
     cfg: MapperConfig,
     ordinals: np.ndarray,
+    k: int | None = None,
+    kth: tuple[float, int] | None = None,
 ) -> np.ndarray:
-    """Vectorized point mapping; returns the emitted outkeys as a uint64 array.
+    """Vectorized point mapping; returns fired outkeys as a uint64 array.
 
-    Emits, element by element, the outkey of each replica whose Exp(value)
-    draw is <= t, so each replica fires independently with probability
-    1 - exp(-value * t). Rejects the values :func:`full_range_batch` rejects,
-    with :class:`ElementValidationError`.
+    The (key, replica) cell fires, and emits its outkey, when some element of
+    the key has an Exp(value) replica draw <= t, so each replica of an
+    element fires independently with probability 1 - exp(-value * t).
+    Without ``k``, every cell is drawn and each fired outkey is returned once.
+
+    With ``k``, the call feeds a :class:`DistinctCounter` of size k and seed
+    ``cfg.seed`` whose k-th smallest (base rank, outkey) is ``kth`` (None
+    while it holds fewer than k entries). It returns fired outkeys, perhaps
+    repeated, that hold the k smallest below ``kth`` in (rank, outkey)
+    order, the only ones the counter can retain. A cell's rank depends on
+    its outkey alone, so the cells below the bound are visited in rank
+    order, in blocks of 2k that grow fourfold, and each block's keys are
+    drawn at the block's replicas only; after each block the k-th smallest
+    fired cell lowers the bound. Once the draws taken cell by cell pass a
+    sixteenth of the call's n*r, the keys of the remaining cells are drawn
+    densely instead. A call whose n*r cells fit one dense chunk draws them
+    all at once.
+
+    Either way every element's value is checked: rejects the values
+    :func:`full_range_batch` rejects, with :class:`ElementValidationError`.
     """
     if cfg.t is None:
         raise ValueError("point mapping requires a threshold t")
-    src = cfg.source()
+    src, r, t = cfg.source(), cfg.r, cfg.t
+    key64s = np.asarray(key64s, dtype=np.uint64)
     values = _checked(values)
     ordinals = np.asarray(ordinals, dtype=np.uint64)
-    out = []
-    for lo, hi in _chunks(len(values), cfg.r):
-        mask = _draws(src, ordinals[lo:hi], values[lo:hi], cfg.r) <= cfg.t
-        if mask.any():
-            out.append(outkey_block(key64s[lo:hi], cfg.r)[mask])
-    return np.concatenate(out) if out else np.empty(0, dtype=np.uint64)
+    if k is not None and len(values) * r <= _CHUNK_CELLS:
+        # drawing one dense chunk whole costs less than ranking its cells first
+        return outkey_block(key64s, r)[_draws(src, ordinals, values, r) <= t]
+    tiny = values < _MIN_SAFE_VALUE
+    if tiny.any():  # every element's draws are checked, also those never drawn below
+        _draws(src, ordinals[tiny], values[tiny], r)
+    if len(values) == 0:
+        return np.empty(0, dtype=np.uint64)
+    skeys, svalues, sordinals, starts = _group(key64s, values, ordinals)
+    ends = np.append(starts[1:], len(values))
+    budget, gathered = len(values) * r // 16, 0
+    out, top_okeys, top_ranks = [], np.empty(0, dtype=np.uint64), np.empty(0)
+    per = max(1, _CHUNK_CELLS // r)
+    for g0 in range(0, len(starts), per):  # a block of keys with at most _CHUNK_CELLS cells
+        block_of_keys = (src, sordinals, svalues, starts[g0 : g0 + per], ends[g0 : g0 + per], r, t)
+        okeys = outkey_block(skeys[starts[g0 : g0 + per]], r).ravel()
+        if k is None:
+            out.append(okeys[_fire_dense(*block_of_keys)])
+            continue
+        ranks = base_ranks(okeys, cfg.seed)
+        cells = np.arange(len(okeys)) if kth is None else np.flatnonzero(_below(ranks, okeys, kth))
+        m = 2 * k
+        while cells.size:
+            if gathered > budget:  # gathering pair by pair now costs more than dense draws
+                block, cells = cells, cells[:0]
+                fired = block[_fire_dense(*block_of_keys)[block]]
+            else:
+                if m < cells.size:
+                    # the m lowest-ranked cells and any that tie the m-th
+                    near = ranks[cells] <= np.partition(ranks[cells], m - 1)[m - 1]
+                    block, cells = cells[near], cells[~near]
+                else:
+                    block, cells = cells, cells[:0]
+                hit, draws = _fire_gathered(*block_of_keys, block)
+                fired, gathered, m = block[hit], gathered + draws, 4 * m
+            top_okeys = np.concatenate([top_okeys, okeys[fired]])
+            top_ranks = np.concatenate([top_ranks, ranks[fired]])
+            if len(top_okeys) >= k:
+                keep = np.lexsort((top_okeys, top_ranks))[:k]
+                top_okeys, top_ranks = top_okeys[keep], top_ranks[keep]
+                kth = (top_ranks[-1], top_okeys[-1])
+                cells = cells[_below(ranks[cells], okeys[cells], kth)]
+    return np.concatenate(out) if k is None else top_okeys
 
 
 def full_range_batch(
@@ -140,19 +254,8 @@ def full_range_batch(
     ordinals = np.asarray(ordinals, dtype=np.uint64)
     if len(values) == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
-    # Sorting the rows by key makes each key's elements one run of rows, and
-    # a chunk's runs can be reduced with one minimum.reduceat; a run cut by a
-    # chunk boundary is folded into the same output row from both sides.
-    order = np.argsort(key64s)
-    skeys, svalues, sordinals = key64s[order], values[order], ordinals[order]
-    starts = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
-    mins = np.full((len(starts), cfg.r), inf)
-    for lo, hi in _chunks(len(values), cfg.r):
-        y = _draws(src, sordinals[lo:hi], svalues[lo:hi], cfg.r)
-        g0 = int(np.searchsorted(starts, lo, side="right")) - 1
-        g1 = int(np.searchsorted(starts, hi, side="left"))
-        cuts = np.r_[lo, starts[g0 + 1 : g1]] - lo
-        np.minimum(mins[g0:g1], np.minimum.reduceat(y, cuts, axis=0), out=mins[g0:g1])
+    skeys, svalues, sordinals, starts = _group(key64s, values, ordinals)
+    mins = _run_minima(src, sordinals, svalues, starts, cfg.r)
     return outkey_block(skeys[starts], cfg.r).ravel(), mins.ravel()
 
 

@@ -27,7 +27,7 @@ from math import expm1, inf
 
 import numpy as np
 
-from .core import IncompatibleSketchError, ParseError, rank_uniforms
+from .core import IncompatibleSketchError, ParseError, base_ranks
 from .sketchfile import ENTRY, OUTKEY, records
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
 
 # Entries per step of a batch update of the distinct and max-distinct sketches.
 _CHUNK_ENTRIES = 1 << 16
-
-
-def _base_ranks(outkeys: np.ndarray, seed: int) -> np.ndarray:
-    return -np.log(rank_uniforms(outkeys, seed))
 
 
 def _check_compatible(a, b):
@@ -178,7 +174,7 @@ class _BottomK:
         temporaries stay the size of a chunk."""
         for lo in range(0, len(okeys), _CHUNK_ENTRIES):
             o, v = okeys[lo : lo + _CHUNK_ENTRIES], values[lo : lo + _CHUNK_ENTRIES]
-            bases = _base_ranks(o, self.seed)
+            bases = base_ranks(o, self.seed)
             cut = _rank_cut(o, bases / v, self.k)
             self._add(o[cut], bases[cut], v[cut])
 
@@ -194,7 +190,7 @@ class _BottomK:
         """Sketch of size k and seed retaining the given entries."""
         okeys = okeys.astype(np.uint64)
         sk = cls(k, seed)
-        sk._add(okeys, _base_ranks(okeys, seed), values.astype(np.float64))
+        sk._add(okeys, base_ranks(okeys, seed), values.astype(np.float64))
         return sk
 
 
@@ -214,6 +210,13 @@ class DistinctCounter(_BottomK):
         if outkeys.size == 0:
             return
         self._add_batch(outkeys, np.broadcast_to(1.0, outkeys.shape))
+
+    def kth(self) -> tuple[float, int] | None:
+        """The k-th smallest (base rank, outkey) held, which an outkey must
+        lie below to be retained; None below k entries."""
+        if len(self._entries) < self.k:
+            return None
+        return float(self._ranks[-1]), int(self._entries[-1])
 
     def merge(self, other: "DistinctCounter") -> "DistinctCounter":
         return self._merged(other)
@@ -300,7 +303,7 @@ class AllThresholdSketch(_BottomK):
             return
         if not np.all((ys >= 0.0) & (ys < inf)):
             raise ValueError("threshold values must be finite and >= 0")
-        self._add(outkeys, _base_ranks(outkeys, self.seed), ys)
+        self._add(outkeys, base_ranks(outkeys, self.seed), ys)
 
     def _retain(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Retained entries in (rank, outkey) order; the walk also sets the profile."""

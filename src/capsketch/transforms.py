@@ -586,12 +586,16 @@ def rho_estimate(a: SignedCoefficientFunction, w_grid) -> float:
         raise ValueError("probe grid values must be positive")
     if grid.max() / grid.min() < 1e6:
         raise ValueError("probe grid must span at least six decades")
-    plus = np.asarray(a.plus.lapm(grid), dtype=np.float64)
-    minus = np.asarray(a.minus.lapm(grid), dtype=np.float64)
-    total = plus - minus
+    with np.errstate(all="ignore"):  # a non-finite result is rejected below
+        plus = np.asarray(a.plus.lapm(grid), dtype=np.float64)
+        minus = np.asarray(a.minus.lapm(grid), dtype=np.float64)
+        total = plus - minus
+        ratio = np.maximum(plus, minus) / total
     if np.any(total <= 0.0):
         raise IllPosedTransformError("signed transform is non-positive on the probe grid")
-    return float(max(1.0, (plus / total).max(), (minus / total).max()))
+    if not np.isfinite(ratio).all():  # so is every plus, minus and total once total > 0
+        raise IllPosedTransformError("signed transform is not finite on the probe grid")
+    return float(max(1.0, ratio.max()))
 
 
 def relative_error_to(a: SignedCoefficientFunction, f: Callable, w_grid) -> float:

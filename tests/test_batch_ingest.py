@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from capsketch import (
     AllThresholdSketch,
     CombinationPipeline,
+    DistinctCounter,
     Element,
     ElementValidationError,
     FullRangePipeline,
@@ -19,12 +20,12 @@ from capsketch import (
 )
 from capsketch import mappers
 from capsketch.cli import _signed_function, main
-from capsketch.core import hash_key
+from capsketch.core import base_ranks, hash_key, hash_keys, outkey_block
 from capsketch.estimators import _lookup, _smallest
-from capsketch.mappers import MapperConfig, full_range_batch
+from capsketch.mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from capsketch.oracle import zipf_ranks
 from capsketch.transforms import inverse_transform, parse_statistic
-from reference import map_full_range
+from reference import map_full_range, map_point
 
 
 def zipf_elements(n, alpha, seed):
@@ -97,6 +98,68 @@ def test_full_range_batch_one_minimum_per_key_replica(small_chunks):
     okeys, ys = full_range_batch(k64, vals, cfg, np.arange(len(els), dtype=np.uint64))
     assert len(okeys) == len(set(okeys.tolist())) == len(expected)
     assert dict(zip(okeys.tolist(), ys.tolist())) == expected
+
+
+# ---------------------------------------------------------------------------
+# point mapping: rank-first against every cell drawn
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.05, 0.3, 1.0, 2.5, 40.0])), max_size=60),
+    cuts=st.lists(st.integers(0, 60), max_size=4),
+    r=st.integers(1, 64),
+    k=st.integers(1, 32),
+    t=st.sampled_from([0.0, 1e-6, 0.2, 3.0, np.inf]),
+    prefill=st.lists(st.integers(0, 2**64 - 1), max_size=80),
+    chunk_cells=st.sampled_from([1, 61, 1 << 16]),
+)
+def test_rank_first_point_ingest_equals_dense_mapping(stream, cuts, r, k, t, prefill, chunk_cells):
+    """A point pipeline's sketch equals the sketch of every fired outkey,
+    byte for byte, over any split into batches, also from a full start."""
+    k64 = np.array([hash_key(b"k%d" % key) for key, _ in stream], dtype=np.uint64)
+    vals = np.array([v for _, v in stream])
+    cfg = MapperConfig(r=r, t=t, seed=5)
+    pipe = PointPipeline(t, r=r, epsilon=0.3, k=k, seed=5)
+    pipe.counter.update_batch(np.array(prefill, dtype=np.uint64))
+    dense = DistinctCounter(k, 5)
+    dense.update_batch(np.array(prefill, dtype=np.uint64))
+    bounds = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mappers, "_CHUNK_CELLS", chunk_cells)
+        for lo, hi in zip(bounds, bounds[1:]):
+            pipe.ingest_batch(k64[lo:hi], vals[lo:hi])
+            ords = np.arange(lo, hi, dtype=np.uint64)
+            dense.update_batch(point_outkeys_batch(k64[lo:hi], vals[lo:hi], cfg, ords))
+    assert pipe.counter.to_bytes() == dense.to_bytes()
+
+
+@pytest.mark.parametrize("t", [0.05, 0.6, 4.0])
+def test_point_batch_emits_each_fired_outkey_once(small_chunks, t):
+    els = zipf_elements(300, 2.0, 6)
+    cfg = MapperConfig(r=5, t=t, seed=9)
+    emitted = [o.outkey for i, e in enumerate(els) for o in map_point(e, cfg, ordinal=i)]
+    assert len(emitted) > len(set(emitted))  # repeated keys fire one outkey more than once
+    k64 = np.array([hash_key(e.key) for e in els], dtype=np.uint64)
+    vals = np.array([e.value for e in els])
+    batch = point_outkeys_batch(k64, vals, cfg, np.arange(len(els), dtype=np.uint64))
+    assert sorted(batch.tolist()) == sorted(set(emitted))
+
+
+def test_subnormal_value_rejected_under_a_full_point_sketch(monkeypatch):
+    monkeypatch.setattr(mappers, "_CHUNK_CELLS", 1)  # so that batches are mapped rank-first
+    pipeline = PointPipeline(5.0, r=3, epsilon=0.3, k=8)
+    pipeline.ingest_batch(hash_keys(b"w%d" % i for i in range(200)), np.ones(200))
+    rank, _ = pipeline.counter.kth()
+    # a key none of whose cells ranks below the k-th, so none of them is drawn
+    k64 = hash_keys(b"t%d" % i for i in range(100))
+    above = (base_ranks(outkey_block(k64, 3), 0) > rank).all(axis=1)
+    assert above.any()
+    before, count = pipeline.to_bytes(), pipeline.count
+    with pytest.raises(ElementValidationError, match="overflow"):
+        pipeline.ingest_batch(np.array([hash_key(b"w1"), k64[above][0]], dtype=np.uint64), np.array([1.0, 1e-310]))
+    assert pipeline.count == count
+    assert pipeline.to_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,19 @@ def test_build_estimate_round_trip(tmp_path, toy_tsv, toy_elements):
 
 
 def test_cli_output_counts(capsys, tmp_path, toy_tsv):
+    # a point build draws only the cells that can enter its sketch, so it
+    # cannot count its output elements; a full-range build emits count*r
     out = tmp_path / "s.fsk"
     code, stdout, _ = run(capsys, "build", toy_tsv, "--stat", "softcapT=2", "--mode", "point",
                           "--r", "5", "--seed", "9", "-o", str(out))
     assert code == 0
     assert "elements: 13" in stdout
-    assert "output elements:" in stdout
+    assert "output elements:" not in stdout
+    code, stdout, _ = run(capsys, "build", toy_tsv, "--stat", "softcapT=2", "--mode", "fullrange",
+                          "--r", "5", "--seed", "9", "-o", str(out))
+    assert code == 0
+    assert "elements: 13" in stdout
+    assert "output elements: 65" in stdout
 
 
 # at T = 2 the estimate is the t * SUM fallback, in which T cancels; at

@@ -111,6 +111,9 @@ def test_uniform_block_matches_scalar():
         for i in range(4):
             assert block[row, i] == uniform(src, int(o), i)
     assert np.all(block > 0.0) and np.all(block < 1.0)
+    # an array of replica indices pairs with the ordinals by broadcasting
+    pairs = src.uniform_block(ords, np.array([3, 0, 2, 1], dtype=np.uint64))
+    assert pairs.tolist() == [block[0, 3], block[1, 0], block[2, 2], block[3, 1]]
 
 
 def test_hash_and_outkeys():

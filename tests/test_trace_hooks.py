@@ -65,3 +65,18 @@ def test_tracer_sees_sketch_entries_and_uninstalls(tmp_path, capsys, tracing):
             entries = [s.counts.get("entries", 0) for s in tracer.spans if s.name == name]
             assert entries, f"no {name} span"
             assert max(entries) > 0, f"{name} spans count no entries"
+
+
+def test_tracer_times_the_point_mapper_and_its_draws(tmp_path, tracing):
+    tsv = tmp_path / "tiny.tsv"
+    tsv.write_text("".join(f"k{i % 37}\t{1 + i % 5}\n" for i in range(400)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["build", str(tsv), "--mode", "point", "--stat", "softcapT=5", "--r", "9", "--k", "8"]
+        assert main([*argv, "-o", str(tmp_path / "p.fsk")]) == 0
+    finally:
+        tracer.uninstall()
+    mapper = [s for s in tracer.spans if s.name == "mappers.point_outkeys_batch"]
+    assert mapper and all(s.counts["cells"] == 400 * 9 for s in mapper)
+    assert any(s.name == "core.uniform_block" for s in tracer.spans)

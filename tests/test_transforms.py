@@ -330,6 +330,16 @@ def test_rho_estimate_basics():
         rho_estimate(bad, DEFAULT_RHO_GRID)
 
 
+def test_rho_estimate_rejects_non_finite_transform():
+    # the positive part's LapM overflows to inf; max(1, nan) would certify rho = 1
+    overflowing = SignedCoefficientFunction(
+        CoefficientFunction(deltas=((1.0, 1e308), (2.0, 1e308))),
+        CoefficientFunction(deltas=((0.5, 1.0),)),
+    )
+    with pytest.raises(IllPosedTransformError, match="not finite"):
+        rho_estimate(overflowing, DEFAULT_RHO_GRID)
+
+
 def test_signed_function_disjoint_support():
     with pytest.raises(ValueError):
         SignedCoefficientFunction(
