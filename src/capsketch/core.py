@@ -90,16 +90,43 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
+def _xorshift(z: np.ndarray, shift: np.uint64, t: np.ndarray | None = None) -> np.ndarray:
+    """``z ^= z >> shift`` in place, through the scratch array ``t``."""
+    z ^= np.right_shift(z, shift, out=t)
+    return z
+
+
+def _mix64_np(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_mix64` of every entry of ``z`` or, given ``w``, of ``z ^ w``
+    broadcast. Mixes in place, in uint64 arrays the caller owns (``z`` and
+    ``w``, then the block they span), with one scratch array.
+
+    A xorshift distributes over XOR, so ``z`` and ``w`` take the first one
+    apart: for a column and a row, that is two passes fewer over the block.
+    """
+    if w is None:
+        t = np.empty_like(z)
+        _xorshift(z, _S30, t)
+    else:
+        z = _xorshift(z, _S30) ^ _xorshift(w, _S30)
+        t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _S30)) * _NC1
-        z = (z ^ (z >> _S27)) * _NC2
-        return z ^ (z >> _S31)
+        z *= _NC1
+        _xorshift(z, _S27, t)
+        z *= _NC2
+    return _xorshift(z, _S31, t)
 
 
 def _to_unit_np(h: np.ndarray) -> np.ndarray:
-    # (0, 1) exclusive on both ends so log() is always finite.
-    return ((h >> _S11).astype(np.float64) + 0.5) * _TO_UNIT
+    """Uniforms (x + 0.5) * 2**-53 from the top 53 bits x of ``h``, so log()
+    is always finite; shifts ``h`` in place. They lie in (0, 1) but for
+    x = 2**53 - 1, which rounds to 1.0."""
+    h >>= _S11
+    # below 2**53 the signed conversion is exact, and faster than the unsigned
+    u = h.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= _TO_UNIT
+    return u
 
 
 def hash_key(key: bytes) -> int:
@@ -119,8 +146,8 @@ def outkey_block(key64s: np.ndarray, r: int) -> np.ndarray:
     Plays the role of a family of (nearly) injective functions indexed by the
     replica: distinct (key, replica) pairs collide with probability ~2^-64.
     """
-    cols = _mix64_np((np.arange(r, dtype=np.uint64) + np.uint64(_OUTKEY_SALT)))
-    return _mix64_np(key64s[:, None].astype(np.uint64) ^ cols[None, :])
+    cols = _mix64_np(np.arange(r, dtype=np.uint64) + np.uint64(_OUTKEY_SALT))
+    return _mix64_np(key64s[:, None].astype(np.uint64), cols)
 
 
 def rank_uniforms(outkeys: np.ndarray, seed: int) -> np.ndarray:
@@ -131,7 +158,9 @@ def rank_uniforms(outkeys: np.ndarray, seed: int) -> np.ndarray:
 
 def base_ranks(outkeys: np.ndarray, seed: int) -> np.ndarray:
     """Exponential sketch ranks -ln(u) of outkeys, u from :func:`rank_uniforms`."""
-    return -np.log(rank_uniforms(outkeys, seed))
+    u = rank_uniforms(outkeys, seed)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 class RandomnessSource:
@@ -161,11 +190,11 @@ class RandomnessSource:
         if np.ndim(r) == 0:
             rows, r = rows[:, None], np.arange(r, dtype=np.uint64)
         with np.errstate(over="ignore"):
+            # products are fresh arrays, so the hashes below mix in place
             rows = rows * np.uint64(_GOLDEN)
+            rows ^= np.uint64(self._chain)
             cols = np.asarray(r, dtype=np.uint64) * np.uint64(_GOLDEN2)
-            h = _mix64_np(np.uint64(self._chain) ^ rows)
-            h = _mix64_np(h ^ cols)
-        return _to_unit_np(h)
+        return _to_unit_np(_mix64_np(_mix64_np(rows), cols))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,15 @@ __all__ = [
 # Cap on draw-matrix cells per vectorized chunk (elements x replicas): half a
 # megabyte per float64 matrix, so a chunk's temporaries stay in cache.
 _CHUNK_CELLS = 1 << 16
+# A chunk with runs of several rows is reduced with one contiguous minimum per
+# run when its rows hold at least _WIDE_ROW draws and it has at most r runs,
+# and with one minimum.reduceat otherwise. On 65,536-cell chunks (numpy 2.4,
+# x86-64), reduceat cost about 1 ns per draw plus 8 ns per output draw, and a
+# run's minimum about 3 us plus 35 ns per row. Run by run won up to about r
+# runs for r in [64, 200], at every run count for r = 300 and 501 (r=501: 33
+# against 87 us for one run, 359 against 602 us for 128), and at none for
+# r <= 48 (r=7, one run: 348 against 63 us).
+_WIDE_ROW = 64
 # A draw -ln(u)/value stays finite for every u the source yields (-ln(u) is
 # below 38) once value is at least this; smaller values are checked draw by draw.
 _MIN_SAFE_VALUE = 1e-300
@@ -83,7 +92,7 @@ def _draws(src: RandomnessSource, ordinals: np.ndarray, values: np.ndarray, r: i
     with np.errstate(over="ignore"):
         y /= -values[:, None]
     tiny = np.flatnonzero(values < _MIN_SAFE_VALUE)
-    bad = tiny[np.isinf(y[tiny]).any(axis=1)]
+    bad = tiny[np.isinf(y[tiny]).any(axis=1)] if tiny.size else tiny
     if bad.size:
         value = float(values[bad[0]])
         raise ElementValidationError(f"element value {value!r} is too small: its exponential draws overflow")
@@ -108,17 +117,23 @@ def _group(key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray):
 def _run_minima(src: RandomnessSource, ordinals: np.ndarray, values: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
     """Smallest replica-i draw of each run of rows (runs begin at ``starts``),
     shape (len(starts), r), drawn a chunk of rows at a time."""
-    # A chunk's runs are reduced with one minimum.reduceat, skipped when each
-    # run is one row (reduceat costs far more than the draws it copies); a run
-    # cut by a chunk boundary is folded into the same output row from both sides.
+    # A run cut by a chunk boundary is folded into the same output row from
+    # both sides. A chunk whose runs are each one row is not reduced (reduceat
+    # costs far more than the draws it copies); see _WIDE_ROW for the others.
     mins = np.full((len(starts), r), inf)
     for lo, hi in _chunks(len(values), r):
         y = _draws(src, ordinals[lo:hi], values[lo:hi], r)
         g0 = int(np.searchsorted(starts, lo, side="right")) - 1
         g1 = int(np.searchsorted(starts, hi, side="left"))
-        cuts = np.r_[lo, starts[g0 + 1 : g1]] - lo
-        if len(cuts) < hi - lo:
-            y = np.minimum.reduceat(y, cuts, axis=0)
+        cuts = np.concatenate(([lo], starts[g0 + 1 : g1], [hi])) - lo
+        runs = g1 - g0
+        if runs < hi - lo and max(runs, _WIDE_ROW) <= r:
+            np.minimum(mins[g0], np.minimum.reduce(y[: cuts[1]], axis=0), out=mins[g0])
+            for g, a, b in zip(range(g0 + 1, g1), cuts[1:-1].tolist(), cuts[2:].tolist()):
+                np.minimum.reduce(y[a:b], axis=0, out=mins[g])  # a run that starts in this chunk
+            continue
+        if runs < hi - lo:
+            y = np.minimum.reduceat(y, cuts[:-1], axis=0)
         np.minimum(mins[g0:g1], y, out=mins[g0:g1])
     return mins
 

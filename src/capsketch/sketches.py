@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cached_property
 from math import expm1, inf
 
 import numpy as np
@@ -289,9 +290,8 @@ class AllThresholdSketch(_BottomK):
 
     def __init__(self, k: int, seed: int = 0):
         super().__init__(k, seed)
-        # at each distinct stored y, ascending: the number of entries with
-        # y' <= y and the k-th smallest rank among them (inf below k entries)
-        self._profile = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+        # the retained ys in walk order and the k-th smallest rank retained at each
+        self._walk = (np.empty(0), np.empty(0))
 
     def update(self, outkey: int, y: float) -> None:
         self.update_batch(np.array([outkey], dtype=np.uint64), np.array([y], dtype=np.float64))
@@ -306,12 +306,21 @@ class AllThresholdSketch(_BottomK):
         self._add(outkeys, base_ranks(outkeys, self.seed), ys)
 
     def _retain(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Retained entries in (rank, outkey) order; the walk also sets the profile."""
+        """Retained entries in (rank, outkey) order; the walk is kept for the profile."""
         keep, kths = _prefix_bottom_k(okeys, ys, bases, self.k)
-        y = ys[keep]
-        at = np.flatnonzero(np.append(y[1:] != y[:-1], y.size > 0))  # the last entry of each run of equal y
-        self._profile = (y[at], at + 1, kths[at])
+        self._walk = (ys[keep], kths)
+        self.__dict__.pop("_profile", None)
         return keep[np.lexsort((okeys[keep], bases[keep]))]
+
+    @cached_property
+    def _profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At each distinct stored y, ascending: the number of entries with
+        y' <= y and the k-th smallest rank among them (inf below k entries).
+        Built on the first query after a change, so reads and merges that are
+        only written out never build it."""
+        y, kths = self._walk
+        at = np.flatnonzero(np.append(y[1:] != y[:-1], y.size > 0))  # the last entry of each run of equal y
+        return y[at], at + 1, kths[at]
 
     def estimate_at(self, t: float) -> float:
         """Estimated number of distinct outkeys with minimum value <= t."""
@@ -373,17 +382,18 @@ class SumCounter:
             return
         if not np.all((values > 0.0) & (values < inf)):
             raise ValueError("summed values must be positive and finite")
-        # integers below 2**63 sum exactly as int64; larger ones go by exponent
-        if values.max() < 2.0**63 and np.all(values == np.trunc(values)):
-            self._total += int(values.astype(np.int64).sum(dtype=object))
-            return
-        mant, exp = np.frexp(values)
-        mi = np.round(mant * 2.0**53).astype(np.int64)
-        e2 = exp.astype(np.int64) - 53
-        for ev in np.unique(e2):
-            s = int(mi[e2 == ev].sum(dtype=object))
-            ev = int(ev)
-            self._total += Fraction(s << ev, 1) if ev >= 0 else Fraction(s, 1 << -ev)
+        # Each value is m * 2**(e - 53) with an integer m < 2**53; sorted
+        # values keep each exponent e in one run. The m of a run are summed in
+        # int64 as halves of 27 and 26 bits, which cannot overflow below 2**36
+        # values, and the run sums join exactly as Python ints.
+        mant, exp = np.frexp(np.sort(values))
+        m = (mant * 2.0**53).astype(np.int64)
+        at = np.flatnonzero(np.r_[True, exp[1:] != exp[:-1]])
+        highs = np.add.reduceat(m >> 26, at).tolist()
+        lows = np.add.reduceat(m & ((1 << 26) - 1), at).tolist()
+        exps = (exp[at] - 53).tolist()
+        total = sum(((h << 26) + lo) << (e - exps[0]) for h, lo, e in zip(highs, lows, exps))
+        self._total += Fraction(total << exps[0]) if exps[0] >= 0 else Fraction(total, 1 << -exps[0])
 
     def merge(self, other: "SumCounter") -> "SumCounter":
         if type(other) is not SumCounter:

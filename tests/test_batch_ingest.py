@@ -86,6 +86,26 @@ def test_signed_batch_repeated_keys(small_chunks, n, alpha, seed):
     assert batched.estimate() == single.estimate()
 
 
+@pytest.mark.parametrize("chunk_cells", [96 * 40, 1 << 16])
+@pytest.mark.parametrize("mode", ["fullrange", "combination"])
+def test_batches_of_few_long_runs_equal_single_ingest(monkeypatch, chunk_cells, mode):
+    # three keys at r=96: each mapper chunk of a batch holds at most three
+    # runs of rows 96 draws wide, so it is reduced run by run; with 40 rows
+    # per chunk, runs also straddle chunk edges
+    r = 96
+    assert mappers._WIDE_ROW <= r
+    monkeypatch.setattr(mappers, "_CHUNK_CELLS", chunk_cells)
+    values = np.random.default_rng(8).uniform(0.25, 4.0, 300)
+    els = [Element(b"k%d" % (i % 3), float(v)) for i, v in enumerate(values)]
+    if mode == "fullrange":
+        make = lambda: FullRangePipeline(r=r, epsilon=0.3, k=16, seed=2)
+    else:
+        a = inverse_transform(parse_statistic("sqrt"))
+        make = lambda: CombinationPipeline(a, r=r, epsilon=0.3, k=16, seed=2)
+    single, batched = ingest_both(make, els, [1, 37, 250, 12])
+    assert batched.to_bytes() == single.to_bytes()
+
+
 def test_full_range_batch_one_minimum_per_key_replica(small_chunks):
     els = zipf_elements(300, 2.0, 5)
     cfg = MapperConfig(r=5, seed=9)

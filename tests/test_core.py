@@ -14,7 +14,7 @@ from capsketch import (
     hash_key,
     hash_keys,
 )
-from capsketch.core import outkey_block, rank_uniforms
+from capsketch.core import base_ranks, outkey_block, rank_uniforms
 from reference import exp_draw, outkey_for, rank_uniform, uniform
 
 
@@ -137,3 +137,45 @@ def test_rank_uniform_consistency():
         assert rank_uniform(int(o), 11) == u
     assert np.all(vec > 0) and np.all(vec < 1)
     assert not np.allclose(vec, rank_uniforms(oks, seed=12))
+
+
+def _word_inputs():
+    """The same 64-bit words as a uint64 array, a uint64 view of int64 words
+    and a non-contiguous slice of a wider array."""
+    words = np.array([0, 1, 17, 2**40, 2**63, 2**64 - 1, 12345678901234567, 2**32 + 5], dtype=np.uint64)
+    wide = np.zeros((len(words), 3), dtype=np.uint64)
+    wide[:, 1] = words
+    return {
+        "uint64": words.copy(),
+        "int64 view": words.view(np.int64).copy().view(np.uint64),
+        "strided": wide[:, 1],
+    }
+
+
+@pytest.mark.parametrize("form", ["uint64", "int64 view", "strided"])
+def test_primitives_leave_their_inputs_unchanged(form):
+    # the hashes mix fresh arrays in place: never an array the caller passed
+    words = _word_inputs()["uint64"]
+    x = _word_inputs()[form]
+    reps = _word_inputs()[form] % np.uint64(7)
+    before = (x.tobytes(), reps.tobytes())
+    src = RandomnessSource(5)
+    got = [
+        outkey_block(x, 6),
+        rank_uniforms(x, 3),
+        base_ranks(x, 3),
+        src.uniform_block(x, 4),
+        src.uniform_block(x, reps),
+    ]
+    assert (x.tobytes(), reps.tobytes()) == before
+    reps_want = words % np.uint64(7)
+    want = [
+        outkey_block(words, 6),
+        rank_uniforms(words, 3),
+        base_ranks(words, 3),
+        src.uniform_block(words, 4),
+        src.uniform_block(words, reps_want),
+    ]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[4].tolist() == [uniform(src, int(o), int(i)) for o, i in zip(words, reps_want)]

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from capsketch import (
     Element,
     MapperConfig,
+    RandomnessSource,
     StatisticSpec,
     choose_replication,
     hash_key,
     inverse_transform,
     laplace_c,
 )
-from capsketch.mappers import full_range_batch, point_outkeys_batch
+from capsketch import mappers
+from capsketch.mappers import _draws, _run_minima, full_range_batch, point_outkeys_batch
 from capsketch.oracle import aggregate_ranks, exact_measurement
 from reference import combination_batch, map_combination, map_full_range, map_point
 
@@ -187,3 +191,38 @@ def test_mapper_config_validation():
         map_point(Element(b"x", 1.0), MapperConfig(r=1, seed=0))  # missing t
     with pytest.raises(ValueError):
         map_combination(Element(b"x", 1.0), MapperConfig(r=1, seed=0))  # missing a
+
+
+@st.composite
+def runs_of_rows(draw):
+    """(r, rows, run starts): rows of one row each, a few long runs, or any."""
+    r = draw(st.integers(1, 600))
+    n = draw(st.integers(1, max(1, 40_000 // r)))
+    shape = draw(st.sampled_from(["one row each", "few long", "any"]))
+    if shape == "one row each":
+        return r, n, list(range(n))
+    cuts = draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3 if shape == "few long" else 200))
+    return r, n, sorted({0} | {c for c in cuts if c < n})
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=runs_of_rows(), chunk_cells=st.sampled_from([1, 61, 4096, 1 << 16]), seed=st.integers(0, 2**64 - 1))
+@example(case=(501, 300, [0]), chunk_cells=1 << 16, seed=1)  # one run over three chunks, run by run
+@example(case=(600, 109, [0, 50, 51, 52, 100]), chunk_cells=1 << 16, seed=2)  # a few runs in one chunk
+@example(case=(64, 1025, [0, 500, 1023]), chunk_cells=1 << 16, seed=3)  # the narrowest rows reduced run by run
+@example(case=(7, 9400, [0, 4000]), chunk_cells=1 << 16, seed=4)  # long runs of narrow rows: reduceat
+@example(case=(501, 131, list(range(131))), chunk_cells=1 << 16, seed=5)  # one row each: no reduction
+def test_run_minima_equals_each_runs_minimum(case, chunk_cells, seed):
+    """Every reduction route gives each run's smallest draw per replica, bit
+    for bit, also for runs cut by chunk edges."""
+    r, n, starts = case
+    src = RandomnessSource(seed)
+    ords = np.arange(n, dtype=np.uint64) + np.uint64(seed % 2**40)
+    vals = np.random.default_rng(seed % 2**32).uniform(0.1, 5.0, n)
+    starts = np.array(starts, dtype=np.intp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mappers, "_CHUNK_CELLS", chunk_cells)
+        got = _run_minima(src, ords, vals, starts, r)
+    y = _draws(src, ords, vals, r)
+    want = np.stack([y[a:b].min(axis=0) for a, b in zip(starts, np.append(starts[1:], n))])
+    assert got.tobytes() == want.tobytes()

@@ -180,6 +180,22 @@ def test_all_threshold_monotone_and_limits():
     assert at.estimate_at(math.inf) == dc.estimate()
 
 
+def test_all_threshold_queries_between_updates_see_every_update():
+    # the profile is built on the first query after a change, so a query
+    # between updates must not leave a stale one behind
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, 500, 3000).astype(np.uint64)
+    ys = rng.exponential(size=3000)
+    ts = np.linspace(0.0, 4.0, 50)
+    live = AllThresholdSketch(k=8, seed=2)
+    for hi in range(600, 3001, 600):
+        live.update_batch(keys[hi - 600 : hi], ys[hi - 600 : hi])
+        fresh = AllThresholdSketch(k=8, seed=2)
+        fresh.update_batch(keys[:hi], ys[:hi])
+        assert live.estimate_all(ts).tolist() == fresh.estimate_all(ts).tolist()
+        assert live.breakpoints().tolist() == fresh.breakpoints().tolist()
+
+
 def test_all_threshold_merge_bit_exact():
     rng = np.random.default_rng(12)
     keys = rng.integers(0, 900, 5000).astype(np.uint64)
@@ -229,6 +245,31 @@ def test_sum_counter_exact_and_partition_independent():
     from fractions import Fraction
 
     assert whole.exact() == sum(Fraction(float(v)) for v in vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mixed=st.lists(st.floats(min_value=5e-324, max_value=1.7976931348623157e308), max_size=200),
+    bulk=st.sampled_from(["none", "unit", "near 2**53"]),
+    cut=st.integers(0, 9000),
+)
+def test_sum_counter_equals_exact_rational_sum(mixed, bulk, cut):
+    # 8,192 values of one exponent near 2**53 overflow an int64 sum of their
+    # 53-bit mantissas; mixed exponents span subnormals to the largest float
+    from fractions import Fraction
+
+    values = np.array(mixed, dtype=np.float64)
+    if bulk == "unit":
+        values = np.r_[values, np.ones(8192)]
+    elif bulk == "near 2**53":
+        values = np.r_[values, 2.0**53 - np.arange(1.0, 8193.0)]
+    whole = SumCounter()
+    whole.update_batch(values)
+    assert whole.exact() == sum(map(Fraction, values.tolist()), Fraction(0))
+    a, b = SumCounter(), SumCounter()
+    a.update_batch(values[:cut])
+    b.update_batch(values[cut:])
+    assert a.merge(b).to_bytes() == whole.to_bytes()
 
 
 @settings(max_examples=25, deadline=None)
