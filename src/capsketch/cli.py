@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from itertools import islice
 from math import ceil, inf
@@ -288,7 +289,11 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each ``parse_args``
+    returns a fresh namespace, so one call's options never reach the next
+    (list defaults are tuples, so no call can change them)."""
     p = argparse.ArgumentParser(prog="capsketch", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -333,10 +338,10 @@ def _parser() -> argparse.ArgumentParser:
     x.set_defaults(func=_cmd_exact)
 
     bench = sub.add_parser("bench", help="replication benchmark on Zipf streams (CSV output)")
-    bench.add_argument("--alpha", type=float, nargs="+", default=[1.1, 1.2, 1.5, 2.0])
+    bench.add_argument("--alpha", type=float, nargs="+", default=(1.1, 1.2, 1.5, 2.0))
     bench.add_argument("--n", type=int, default=100_000)
-    bench.add_argument("--T", type=float, nargs="+", default=[1, 5, 20, 100, 500])
-    bench.add_argument("--r", type=int, nargs="+", default=[1, 10, 100])
+    bench.add_argument("--T", type=float, nargs="+", default=(1, 5, 20, 100, 500))
+    bench.add_argument("--r", type=int, nargs="+", default=(1, 10, 100))
     bench.add_argument("--k", type=int, default=100)
     bench.add_argument("--reps", type=int, default=200)
     bench.add_argument("--seed", type=int, default=0)

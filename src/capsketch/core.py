@@ -81,6 +81,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TO_UNIT = 2.0**-53
+_UNIT_MAX = 1.0 - 2.0**-53  # the largest float below 1
 
 
 def _mix64(z: int) -> int:
@@ -118,15 +119,15 @@ def _mix64_np(z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 
 def _to_unit_np(h: np.ndarray) -> np.ndarray:
-    """Uniforms (x + 0.5) * 2**-53 from the top 53 bits x of ``h``, so log()
-    is always finite; shifts ``h`` in place. They lie in (0, 1) but for
-    x = 2**53 - 1, which rounds to 1.0."""
+    """Uniforms (x + 0.5) * 2**-53 from the top 53 bits x of ``h``, in (0, 1)
+    so log() is always finite and nonzero; shifts ``h`` in place. For
+    x = 2**53 - 1 that product rounds to 1.0, so it is clamped to _UNIT_MAX."""
     h >>= _S11
     # below 2**53 the signed conversion is exact, and faster than the unsigned
     u = h.view(np.int64).astype(np.float64)
     u += 0.5
     u *= _TO_UNIT
-    return u
+    return np.minimum(u, _UNIT_MAX, out=u)
 
 
 def hash_key(key: bytes) -> int:
@@ -151,13 +152,15 @@ def outkey_block(key64s: np.ndarray, r: int) -> np.ndarray:
 
 
 def rank_uniforms(outkeys: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic uniforms in (0,1) attached to outkeys by a second hash."""
+    """Deterministic uniforms in (0, 1) attached to outkeys by a second hash,
+    from :func:`_to_unit_np`: at most 1 - 2**-53, so every rank is positive."""
     salt = np.uint64(_mix64((seed + _RANK_SALT) & _M64))
     return _to_unit_np(_mix64_np(outkeys.astype(np.uint64) ^ salt))
 
 
 def base_ranks(outkeys: np.ndarray, seed: int) -> np.ndarray:
-    """Exponential sketch ranks -ln(u) of outkeys, u from :func:`rank_uniforms`."""
+    """Exponential sketch ranks -ln(u) of outkeys, u from :func:`rank_uniforms`;
+    each is positive and finite."""
     u = rank_uniforms(outkeys, seed)
     np.log(u, out=u)
     return np.negative(u, out=u)
@@ -178,7 +181,9 @@ class RandomnessSource:
         self._chain = _mix64(self.seed ^ _DRAW_SALT)
 
     def uniform_block(self, ordinals: np.ndarray, r: int | np.ndarray) -> np.ndarray:
-        """Uniforms in (0,1) for every (ordinal, replica) pair, shape (len(ordinals), r).
+        """Uniforms in (0, 1) for every (ordinal, replica) pair, shape
+        (len(ordinals), r), from :func:`_to_unit_np`: at most 1 - 2**-53, so
+        -ln(u) is positive.
 
         Entry (j, i) depends only on the seed, ``ordinals[j]`` and ``i``, so
         any split of the ordinals into blocks yields the same bits. When

@@ -90,38 +90,52 @@ def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> n
     return idx[np.lexsort((okeys[idx], ranks[idx]))][:k]
 
 
-def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the entries an all-threshold sketch of size k retains, in
-    (y, rank, outkey) order, and the k-th smallest rank retained by each (inf below k).
+def _retained_order(okeys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray | None:
+    """The (rank, outkey) order of entries given in walk order if a walk of
+    size k retains every one, else None.
 
-    Entries are taken in (y, rank, outkey) order; one is retained when its
-    (rank, outkey) is below the k-th smallest of those retained before it.
-    An outkey may repeat: its first entry has its smallest y, and a later
-    one is never retained. The k-th smallest only falls, so the walk goes in
-    blocks of doubling width and compares each block against the k-th
-    smallest at its start in one vector operation; the few entries below it
-    are then taken one by one.
+    It does exactly when the outkeys are distinct and each entry j >= k lies
+    below D_(j-k), where D_0 > D_1 > ... are the entries' (rank, outkey) in
+    descending order: past the k-th arrival each entry evicts the largest
+    held, so the evictions are D_0, D_1, ... in turn, and the test puts each
+    D_m in place by position m + k - 1, before its eviction.
     """
-    order = np.argsort(ys)
-    s_ys = ys[order]
-    if (s_ys[1:] == s_ys[:-1]).any():  # tied values: order them by (rank, outkey)
-        order = np.lexsort((okeys, ranks, ys))
-    s_okeys, s_ranks = okeys[order], ranks[order]
+    # D_0 lies among the first k entries: an O(n) check that spares the sorts
+    # to a fresh batch of n entries, which fails it with probability about 1 - k/n
+    if len(okeys) > k and ranks[:k].max() < ranks.max():
+        return None
+    distinct = np.sort(okeys)
+    if (distinct[1:] == distinct[:-1]).any():
+        return None
+    by_rank = np.lexsort((okeys, ranks))
+    d = by_rank[::-1][: max(len(okeys) - k, 0)]  # D_0 ... D_(n-k-1)
+    r, o, rd, od = ranks[k:], okeys[k:], ranks[d], okeys[d]
+    return by_rank if ((r < rd) | ((r == rd) & (o < od))).all() else None
+
+
+def _walk_kept(okeys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the entries, in walk order, that a walk of size k retains.
+
+    One is retained when its (rank, outkey) is below the k-th smallest of
+    those retained before it; a repeated outkey is never retained twice. The
+    k-th smallest only falls, so the walk goes in blocks of doubling width and
+    compares each block against the k-th smallest at its start in one vector
+    operation; the few entries below it are then taken one by one.
+    """
     heap: list[tuple[float, int]] = []  # max-heap of the k smallest (rank, okey), negated
-    kept: list[int] = []  # positions in sorted order
-    kths: list[float] = []
+    kept: list[int] = []
     seen: set[int] = set()
     lo, width = 0, k
-    while lo < len(order):
-        hi = min(len(order), lo + width)
+    while lo < len(okeys):
+        hi = min(len(okeys), lo + width)
         if len(heap) < k:
             # each outkey's first entry only, so repeats cannot stall the walk
-            cand = lo + np.sort(np.unique(s_okeys[lo:hi], return_index=True)[1])
+            cand = lo + np.sort(np.unique(okeys[lo:hi], return_index=True)[1])
         else:
             top_rank, top_okey = -heap[0][0], -heap[0][1]
-            r, o = s_ranks[lo:hi], s_okeys[lo:hi]
+            r, o = ranks[lo:hi], okeys[lo:hi]
             cand = lo + np.flatnonzero((r < top_rank) | ((r == top_rank) & (o < np.uint64(top_okey))))
-        for i, rank, okey in zip(cand.tolist(), s_ranks[cand].tolist(), s_okeys[cand].tolist()):
+        for i, rank, okey in zip(cand.tolist(), ranks[cand].tolist(), okeys[cand].tolist()):
             if okey in seen:
                 continue
             if len(heap) < k:
@@ -131,10 +145,38 @@ def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: in
             else:
                 continue
             kept.append(i)
-            kths.append(-heap[0][0] if len(heap) == k else inf)
             seen.add(okey)
         lo, width = hi, 2 * width
-    return order[np.asarray(kept, dtype=np.intp)], np.asarray(kths, dtype=np.float64)
+    return np.asarray(kept, dtype=np.intp)
+
+
+def _prefix_bottom_k(
+    okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the entries an all-threshold sketch of size k retains, in
+    (y, rank, outkey) order and in (rank, outkey) order, and the k-th smallest
+    rank retained by each in the first order (inf below k).
+
+    Entries are walked in (y, rank, outkey) order, and an outkey's first
+    entry has its smallest y. An input that is already retained, as every
+    stored sketch is, is recognised in vector operations; any other goes
+    through :func:`_walk_kept`. The kept entries are a retained set either
+    way, so entry j's k-th smallest is the rank of D_(j-k+1), the (j-k+1)-th
+    largest kept (rank, outkey).
+    """
+    order = np.argsort(ys)
+    s_ys = ys[order]
+    if (s_ys[1:] == s_ys[:-1]).any():  # tied values: order them by (rank, outkey)
+        order = np.lexsort((okeys, ranks, ys))
+    s_okeys, s_ranks = okeys[order], ranks[order]
+    by_rank = _retained_order(s_okeys, s_ranks, k)
+    if by_rank is None:
+        order = order[_walk_kept(s_okeys, s_ranks, k)]
+        by_rank = np.lexsort((okeys[order], ranks[order]))
+    ranked = order[by_rank]
+    kths = np.full(len(order), inf)
+    kths[k - 1 :] = ranks[ranked[::-1][: max(len(order) - k + 1, 0)]]
+    return order, ranked, kths
 
 
 class _BottomK:
@@ -307,10 +349,10 @@ class AllThresholdSketch(_BottomK):
 
     def _retain(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Retained entries in (rank, outkey) order; the walk is kept for the profile."""
-        keep, kths = _prefix_bottom_k(okeys, ys, bases, self.k)
-        self._walk = (ys[keep], kths)
+        walk, ranked, kths = _prefix_bottom_k(okeys, ys, bases, self.k)
+        self._walk = (ys[walk], kths)
         self.__dict__.pop("_profile", None)
-        return keep[np.lexsort((okeys[keep], bases[keep]))]
+        return ranked
 
     @cached_property
     def _profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,8 +43,9 @@ from capsketch.transforms import CoefficientFunction
 
 
 def _to_unit(h: int) -> float:
-    # (0, 1) exclusive on both ends so log() is always finite.
-    return ((h >> 11) + 0.5) * _TO_UNIT
+    # (0, 1) exclusive on both ends so log() is always finite and nonzero: the
+    # top 53 bits all ones round to 1.0, which is clamped to the float below.
+    return min(((h >> 11) + 0.5) * _TO_UNIT, 1.0 - _TO_UNIT)
 
 
 def uniform(src: RandomnessSource, ordinal: int, i: int) -> float:
@@ -200,15 +201,16 @@ def bottom_k_of_maxima(pairs, k: int, seed: int) -> list[tuple[int, float]]:
     return [(o, m) for _, o, m in ranked[:k]]
 
 
-def prefix_bottom_k(pairs, k: int, seed: int) -> list[tuple[int, float]]:
+def prefix_bottom_k(pairs, k: int, seed: int, rank=base_rank) -> list[tuple[int, float]]:
     """(outkey, y) held by an all-threshold sketch of size k over (outkey, y)
-    pairs, in (base rank, outkey) order: each outkey at its smallest y, kept
+    pairs, in (rank, outkey) order: each outkey at its smallest y, kept
     when fewer than k keys before it in (y, rank, outkey) order have a
-    smaller (rank, outkey)."""
+    smaller (rank, outkey). An outkey's rank is ``rank(outkey, seed)``,
+    its base rank unless given."""
     low: dict[int, float] = {}
     for o, y in pairs:
         low[o] = min(y, low.get(o, y))
-    walk = sorted((y, base_rank(o, seed), o) for o, y in low.items())
+    walk = sorted((y, rank(o, seed), o) for o, y in low.items())
     kept = [
         (rank, o, y)
         for j, (y, rank, o) in enumerate(walk)

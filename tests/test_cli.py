@@ -1,6 +1,8 @@
+from unittest import mock
+
 import pytest
 
-from capsketch import PointPipeline
+from capsketch import PointPipeline, cli, sketches
 from capsketch.cli import main, read_sketch_file
 from capsketch.oracle import exact_statistic
 from capsketch.transforms import parse_statistic
@@ -374,3 +376,57 @@ def test_huge_sum_estimates_inf(capsys, tmp_path):
     code, stdout, err = run(capsys, "estimate", str(out), "--stat", "sum")
     assert code == 0 and err == ""
     assert stdout == "estimate: inf\n"
+
+
+def outcome(capsys, argv):
+    """Exit code of one ``main`` call (``SystemExit`` for an argparse
+    error), its stdout and its stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, toy_tsv):
+    # main builds its parser once per process; each command of a sequence
+    # behaves as it does run on its own, and no option outlives its call
+    fr = tmp_path / "fr.fsk"
+    run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "fullrange", "--r", "20", "-o", str(fr))
+    commands = [
+        ["estimate", str(fr), "--t", "0.5"],
+        ["estimate", str(fr)],  # must not keep the earlier --t
+        ["estimate", str(fr), "--t", "half"],
+        ["merge", str(fr), str(fr), "-o", str(tmp_path / "{}.fsk")],
+    ]
+    alone = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        alone.append(outcome(capsys, [a.format("alone") for a in argv]))
+        alone[-1] += ((tmp_path / "alone.fsk").read_bytes() if argv[0] == "merge" else None,)
+    cli._parser.cache_clear()
+    shared = []
+    for argv in commands:
+        shared.append(outcome(capsys, [a.format("shared") for a in argv]))
+        shared[-1] += ((tmp_path / "shared.fsk").read_bytes() if argv[0] == "merge" else None,)
+    assert cli._parser.cache_info().misses == 1
+    assert shared == alone
+    assert shared[0][1] != shared[1][1]
+    assert shared[2][0] == ("SystemExit", 2) and "invalid float value: 'half'" in shared[2][2]
+    assert shared[3][0] == 0 and shared[3][3]
+
+
+def test_estimate_of_a_fullrange_file_skips_the_walk(capsys, tmp_path, toy_tsv):
+    # a full-range file holds a retained set, so no query of it runs the
+    # per-entry retention walk
+    fr = tmp_path / "fr.fsk"
+    run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "fullrange",
+        "--r", "20", "--k", "16", "-o", str(fr))
+    header, (entries, _) = read_sketch_file(str(fr))
+    assert len(entries) // 16 > 2 * header.k  # (outkey, y) records: the retained-set test has work to do
+    with mock.patch.object(sketches, "_walk_kept", wraps=sketches._walk_kept) as walk_kept:
+        for args in ([], ["--stat", "sqrt"], ["--stat", "capT=5"], ["--t", "0.5"]):
+            code, stdout, _ = run(capsys, "estimate", str(fr), *args)
+            assert code == 0 and "estimate:" in stdout
+    assert walk_kept.call_count == 0

@@ -14,7 +14,7 @@ from capsketch import (
     hash_key,
     hash_keys,
 )
-from capsketch.core import base_ranks, outkey_block, rank_uniforms
+from capsketch.core import _C1, _C2, _DRAW_SALT, _GOLDEN, _M64, _RANK_SALT, _mix64, base_ranks, outkey_block, rank_uniforms
 from reference import exp_draw, outkey_for, rank_uniform, uniform
 
 
@@ -137,6 +137,41 @@ def test_rank_uniform_consistency():
         assert rank_uniform(int(o), 11) == u
     assert np.all(vec > 0) and np.all(vec < 1)
     assert not np.allclose(vec, rank_uniforms(oks, seed=12))
+
+
+def _unmix64(z: int) -> int:
+    """The inverse of :func:`_mix64`: each xorshift and odd product undone."""
+
+    def unshift(z, s):
+        out = z
+        for _ in range(64 // s):
+            out = z ^ (out >> s)
+        return out
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(_C2, -1, 1 << 64)) & _M64, 27)
+    return unshift((z * pow(_C1, -1, 1 << 64)) & _M64, 30)
+
+
+def test_top_hash_gives_a_uniform_below_one():
+    # a hash whose top 53 bits are all ones rounds to u = 1.0, whose draw and
+    # rank -ln(u) would be -0.0; it is clamped to the largest float below 1
+    top, below_one = _M64, 1.0 - 2.0**-53
+    assert _mix64(_unmix64(top)) == top
+    seed = 7
+    src = RandomnessSource(seed)
+    # replica 0 mixes in nothing, so entry (ordinal, 0) is mix(mix(ordinal * GOLDEN ^ chain))
+    ordinal = ((_unmix64(_unmix64(top)) ^ _mix64(seed ^ _DRAW_SALT)) * pow(_GOLDEN, -1, 1 << 64)) & _M64
+    block = src.uniform_block(np.array([ordinal, 1], dtype=np.uint64), 2)
+    assert block[0, 0] == below_one == uniform(src, ordinal, 0)
+    assert block[1].tolist() == [uniform(src, 1, 0), uniform(src, 1, 1)]
+    outkey = _unmix64(top) ^ _mix64((seed + _RANK_SALT) & _M64)
+    oks = np.array([outkey, 3], dtype=np.uint64)
+    u = rank_uniforms(oks, seed)
+    assert u[0] == below_one == rank_uniform(outkey, seed)
+    ranks = base_ranks(oks, seed)
+    assert ranks[0] == -np.log(below_one) > 0.0 and not np.signbit(ranks).any()
+    assert np.all(-np.log(block) > 0.0)
 
 
 def _word_inputs():

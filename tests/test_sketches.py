@@ -412,3 +412,106 @@ def test_threshold_profile_equals_its_definition(entries, k, seed, data):
         expected = threshold_profile(sk._values.tolist(), sk._ranks.tolist(), sk._entries.tolist(), k)
         for got, want in zip(sk._profile, expected):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _tied_rank(outkey: int, seed: int) -> float:
+    """A rank per outkey that many outkeys share, for (rank, outkey) ties."""
+    return float((outkey * 7 + seed) % 4)
+
+
+def _walk_spy():
+    return mock.patch.object(sketches, "_walk_kept", wraps=sketches._walk_kept)
+
+
+def _assert_walk(okeys, ys, ranks, k, walk, ranked, kths):
+    """The outputs of ``_prefix_bottom_k`` name the same kept entries in
+    (y, rank, outkey) and (rank, outkey) order, with each entry's k-th
+    smallest rank, at every run end as ``threshold_profile`` gives it."""
+    assert sorted(walk.tolist()) == sorted(ranked.tolist())
+    triples = list(zip(ys[walk].tolist(), ranks[walk].tolist(), okeys[walk].tolist()))
+    assert triples == sorted(triples)
+    assert list(zip(ranks[ranked].tolist(), okeys[ranked].tolist())) == sorted(t[1:] for t in triples)
+    assert kths.tolist() == [sorted(ranks[walk[: j + 1]].tolist())[k - 1] if j >= k - 1 else math.inf for j in range(len(walk))]
+    y = ys[walk]
+    at = np.flatnonzero(np.append(y[1:] != y[:-1], y.size > 0))
+    profile = threshold_profile(ys[walk].tolist(), ranks[walk].tolist(), okeys[walk].tolist(), k)
+    for got, want in zip((y[at], at + 1, kths[at]), profile):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+retention_entries = st.lists(
+    st.tuples(st.integers(0, 60), st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=retention_entries, k=st.integers(1, 8), seed=st.integers(0, 2**32), tied=st.booleans(), data=st.data())
+def test_retained_set_is_kept_whole_without_the_walk(entries, k, seed, tied, data):
+    # a retention's output, in any order, is recognised in vector operations:
+    # every entry is kept, and each k-th smallest comes from the closed form
+    rank = _tied_rank if tied else _base_rank
+    kept = data.draw(st.permutations(prefix_bottom_k(entries, k, seed, rank)))
+    okeys = np.array([o for o, _ in kept], dtype=np.uint64)
+    ys = np.array([y for _, y in kept], dtype=np.float64)
+    ranks = np.array([rank(o, seed) for o, _ in kept], dtype=np.float64)
+    with _walk_spy() as walk_kept:
+        walk, ranked, kths = sketches._prefix_bottom_k(okeys, ys, ranks, k)
+    assert walk_kept.call_count == 0
+    assert sorted(walk.tolist()) == list(range(len(kept)))
+    _assert_walk(okeys, ys, ranks, k, walk, ranked, kths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=retention_entries,
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+    tied=st.booleans(),
+    mutation=st.sampled_from(["repeat", "swap", "extra"]),
+    data=st.data(),
+)
+def test_near_retained_sets_equal_their_definition(entries, k, seed, tied, mutation, data):
+    # a retained set one step from retained: a repeated outkey at a larger y
+    # (its largest rank stays among its first k entries, the O(n) check
+    # passes and the test fails), two entries with their ys swapped, or one
+    # extra entry; with ranks that tie across outkeys or not
+    rank = _tied_rank if tied else _base_rank
+    pairs = prefix_bottom_k(entries, k, seed, rank)
+    if mutation == "repeat":
+        o, y = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((o, y + data.draw(st.sampled_from([0.25, 1.0, 5.0]))))
+    elif mutation == "swap" and len(pairs) >= 2:
+        i, j = data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=2, unique=True))
+        (oi, yi), (oj, yj) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (oi, yj), (oj, yi)
+    elif mutation == "extra":
+        pairs.append(data.draw(retention_entries)[0])
+    pairs = data.draw(st.permutations(pairs))
+    okeys = np.array([o for o, _ in pairs], dtype=np.uint64)
+    ys = np.array([y for _, y in pairs], dtype=np.float64)
+    ranks = np.array([rank(o, seed) for o, _ in pairs], dtype=np.float64)
+    walk, ranked, kths = sketches._prefix_bottom_k(okeys, ys, ranks, k)
+    assert list(zip(okeys[ranked].tolist(), ys[ranked].tolist())) == prefix_bottom_k(pairs, k, seed, rank)
+    _assert_walk(okeys, ys, ranks, k, walk, ranked, kths)
+
+
+def test_stored_sketch_loads_without_the_walk():
+    # every stored all-threshold sketch is a retained set, so reading it never
+    # runs the per-entry walk; a silent fallback would pass every byte test
+    rng = np.random.default_rng(4)
+    keys = rng.integers(0, 2**63, 20_000).astype(np.uint64)
+    ys = rng.exponential(size=20_000)
+    a, b = AllThresholdSketch(50, 3), AllThresholdSketch(50, 3)
+    a.update_batch(keys[:10_000], ys[:10_000])
+    b.update_batch(keys[10_000:], ys[10_000:])
+    assert len(a) > 2 * a.k
+    with _walk_spy() as walk_kept:
+        back = AllThresholdSketch.from_bytes(a.to_bytes(), 50, 3)
+        assert walk_kept.call_count == 0
+        a.merge(b)  # different shards still walk: the spy sees the loop
+        assert walk_kept.call_count == 1
+    assert back.to_bytes() == a.to_bytes()
+    for got, want in zip(back._profile, a._profile):
+        assert got.tobytes() == want.tobytes()
