@@ -6,7 +6,8 @@ optional and defaults to 1. Keys are raw bytes up to the first tab. Blank
 lines are skipped but counted in line numbers.
 
 Exit codes: 0 success, 2 parse error (a malformed line, sketch file or
-build or query option), 3 incompatible sketches, 4 unsupported statistic.
+build or query option) or a path that cannot be read or written, 3
+incompatible sketches, 4 unsupported statistic.
 """
 
 from __future__ import annotations
@@ -205,9 +206,8 @@ def _cmd_merge(args) -> int:
             a, b = getattr(base_header, field), getattr(header, field)
             if a != b:
                 raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
-    merged = _load_pipeline(*files[0])
-    for header, sections in files[1:]:
-        merged = merged.merge(_load_pipeline(header, sections))
+    first, *rest = (_load_pipeline(header, sections) for header, sections in files)
+    merged = first.merge(*rest)
     write_sketch_file(args.output, merged.to_bytes(base_header.statistic))
     print(f"merged {len(args.inputs)} sketches")
     return EXIT_OK
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ElementValidationError) as exc:
+    except (ParseError, ElementValidationError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except IncompatibleSketchError as exc:

@@ -6,7 +6,8 @@ enough distinct output keys (at least 3/epsilon^2) its estimate divided by the
 replication r is returned; below that the transform is in its linear regime
 and t * SUM is the better answer.
 
-Pipelines are single-writer; ``merge`` is pure and returns a new pipeline.
+Pipelines are single-writer; ``merge`` is pure, takes any number of
+pipelines and returns a new one, merging each sketch once.
 ``ingest`` takes one element as a one-element ``ingest_batch``, so there is
 one ingest path per mode. Given the same ordinals, batches of any sizes leave
 point and full-range pipelines byte-identical, and combination pipelines with
@@ -19,6 +20,7 @@ state, so a rejected call leaves the pipeline as it was.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import ceil, inf
 
@@ -44,11 +46,6 @@ __all__ = [
 # so the two measurements use independent draws.
 _MINUS_SEED_FLIP = 0x5851F42D4C957F2D
 _LOW16 = np.uint64(0xFFFF)
-
-
-def _check_field(name: str, a, b):
-    if a != b:
-        raise IncompatibleSketchError(f"pipelines differ in {name}: {a!r} vs {b!r}")
 
 
 def _lookup(pool: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +117,23 @@ class _PipelineBase(_Pipeline):
             raise ElementValidationError(f"ordinal base {self.ordinal_base} plus {self.count + n} elements passes the last u64 ordinal")
         return np.arange(first, first + n, dtype=np.uint64)
 
-    def _check_mergeable(self, other, *fields: str) -> None:
-        _check_field("type", type(self).__name__, type(other).__name__)
-        for name in (*fields, "r", "epsilon", "k", "seed"):
-            _check_field(name, getattr(self, name), getattr(other, name))
+    def _merged(self, others, *fields: str):
+        """A copy of this pipeline, once ``others`` match it, at the inputs'
+        smallest ordinal base with their summed count and merged sum; the caller merges its sketches."""
+        for other in others:
+            for name in ("MODE", *fields, "r", "epsilon", "k", "seed"):
+                a, b = getattr(self, name), getattr(other, name)
+                if a != b:
+                    raise IncompatibleSketchError(f"pipelines differ in {name}: {a!r} vs {b!r}")
+        parts = (self, *others)
+        count = sum(p.count for p in parts)
+        if count >= 2**64:
+            raise IncompatibleSketchError(f"merged element count {count} passes the last u64 count")
+        out = copy.copy(self)
+        out.ordinal_base = min(p.ordinal_base for p in parts)
+        out.count = count
+        out.sum_counter = self.sum_counter.merge(*(p.sum_counter for p in others))
+        return out
 
     def _cfg(self) -> MapperConfig:
         return MapperConfig(r=self.r, seed=self.seed)
@@ -162,14 +172,11 @@ class PointPipeline(_PipelineBase):
         self.counter.update_batch(outkeys)
         self.sum_counter.update_batch(values)
 
-    def merge(self, other: "PointPipeline") -> "PointPipeline":
-        """Pure merge; the result keeps the smaller ordinal base, so merge
+    def merge(self, *others: "PointPipeline") -> "PointPipeline":
+        """Pure merge; the result keeps the smallest ordinal base, so merge
         output bytes do not depend on argument order."""
-        self._check_mergeable(other, "t")
-        out = PointPipeline(self.t, self.r, self.epsilon, self.k, self.seed, min(self.ordinal_base, other.ordinal_base))
-        out.counter = self.counter.merge(other.counter)
-        out.sum_counter = self.sum_counter.merge(other.sum_counter)
-        out.count = self.count + other.count
+        out = self._merged(others, "t")
+        out.counter = self.counter.merge(*(p.counter for p in others))
         return out
 
     def estimate(self) -> float:
@@ -232,14 +239,9 @@ class CombinationPipeline(_PipelineBase):
         self.a = a
         self.ell = ceil(3.0 * self.epsilon**-2)
         self.max_sketch = MaxDistinctSketch(k, seed)
-        self.sidelined: dict[int, float] = {}
-
-    def _side(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sidelined outkeys and their draws, in (draw, outkey) order."""
-        keys = np.fromiter(self.sidelined, dtype=np.uint64, count=len(self.sidelined))
-        ys = np.fromiter(self.sidelined.values(), dtype=np.float64, count=len(self.sidelined))
-        order = np.lexsort((keys, ys))
-        return keys[order], ys[order]
+        # the sidelined outkeys and their draws, in (draw, outkey) order
+        self.sidelined_keys = np.empty(0, dtype=np.uint64)
+        self.sidelined_draws = np.empty(0, dtype=np.float64)
 
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -255,14 +257,14 @@ class CombinationPipeline(_PipelineBase):
         every other key to the max-distinct sketch at its draw's tail value."""
         if len(outkeys) == 0:
             return
-        side_keys, side_ys = self._side()
-        hit, pos = _lookup(side_keys, outkeys)
+        side_ys = self.sidelined_draws.copy()
+        hit, pos = _lookup(self.sidelined_keys, outkeys)
         if hit.any():
             np.minimum.at(side_ys, pos[hit], ys[hit])
             outkeys, ys = outkeys[~hit], ys[~hit]
-        keys, draws = np.concatenate([side_keys, outkeys]), np.concatenate([side_ys, ys])
+        keys, draws = np.concatenate([self.sidelined_keys, outkeys]), np.concatenate([side_ys, ys])
         chosen = _smallest(keys, draws, self.ell)
-        self.sidelined = dict(zip(keys[chosen].tolist(), draws[chosen].tolist()))
+        self.sidelined_keys, self.sidelined_draws = keys[chosen], draws[chosen]
         if len(chosen) == len(keys):
             return
         rest = np.ones(len(keys), dtype=bool)
@@ -272,44 +274,44 @@ class CombinationPipeline(_PipelineBase):
         if keep.any():
             self.max_sketch.update_batch(keys[rest][keep], vals[keep])
 
-    def merge(self, other: "CombinationPipeline") -> "CombinationPipeline":
-        self._check_mergeable(other)
-        _check_field("coefficient function", self.a, other.a)
-        out = CombinationPipeline(self.a, self.r, self.epsilon, self.k, self.seed, min(self.ordinal_base, other.ordinal_base))
-        out.max_sketch = self.max_sketch.merge(other.max_sketch)
-        out.sum_counter = self.sum_counter.merge(other.sum_counter)
-        out.count = self.count + other.count
-        out.sidelined = dict(self.sidelined)
-        out._absorb_batch(*other._side())
+    def merge(self, *others: "CombinationPipeline") -> "CombinationPipeline":
+        """Pure merge: the max-distinct sketches merged, then the union of the
+        sidelined keys, each at its smallest draw, absorbed once; the result
+        does not depend on the order of the inputs."""
+        out = self._merged(others, "a")
+        out.max_sketch = self.max_sketch.merge(*(p.max_sketch for p in others))
+        keys = np.concatenate([p.sidelined_keys for p in (self, *others)])
+        draws = np.concatenate([p.sidelined_draws for p in (self, *others)])
+        order = np.argsort(draws)
+        at = order[np.unique(keys[order], return_index=True)[1]]  # each key at its smallest draw
+        out._absorb_batch(keys[at], draws[at])
         return out
 
     def tau(self) -> float:
         """Current adaptive cutoff: the largest sidelined draw."""
-        if not self.sidelined:
-            return 0.0
-        return max(self.sidelined.values())
+        return float(self.sidelined_draws.max()) if self.sidelined_draws.size else 0.0
 
     def estimate(self) -> float:
         """Finalize without mutating: sideline keys are fed at the cutoff's
         tail value into a copy of the sketch, the head is covered by the sum."""
-        if not self.sidelined:
+        if self.sidelined_keys.size == 0:
             return 0.0
         tau = self.tau()
-        fed = self.max_sketch.merge(MaxDistinctSketch(self.k, self.seed))
+        fed = self.max_sketch.merge()
         v = float(self.a.tail(tau))
         if v > 0.0:
-            fed.update_batch(self._side()[0], np.full(len(self.sidelined), v))
+            fed.update_batch(self.sidelined_keys, np.full(len(self.sidelined_keys), v))
         return fed.estimate() / self.r + self.sum_counter.value() * float(self.a.head(tau))
 
     def _sections(self) -> list[bytes]:
         """The sidelined (outkey, draw) records, the max-distinct sketch and the sum."""
-        side = np.rec.fromarrays(self._side(), dtype=ENTRY).tobytes()
+        side = np.rec.fromarrays([self.sidelined_keys, self.sidelined_draws], dtype=ENTRY).tobytes()
         return [side, self.max_sketch.to_bytes(), self.sum_counter.to_bytes()]
 
     def _load(self, sections: list[bytes], count: int) -> None:
         side, entries, total = sections
         rec = records(side, ENTRY)
-        self.sidelined = dict(zip(rec["outkey"].tolist(), rec["value"].tolist()))
+        self.sidelined_keys, self.sidelined_draws = rec["outkey"], rec["value"]
         self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.k, self.seed)
         self.sum_counter = SumCounter.from_bytes(total)
         self.count = count
@@ -342,12 +344,9 @@ class FullRangePipeline(_PipelineBase):
         self.threshold_sketch.update_batch(outkeys, ys)
         self.sum_counter.update_batch(values)
 
-    def merge(self, other: "FullRangePipeline") -> "FullRangePipeline":
-        self._check_mergeable(other)
-        out = FullRangePipeline(self.r, self.epsilon, self.k, self.seed, min(self.ordinal_base, other.ordinal_base))
-        out.threshold_sketch = self.threshold_sketch.merge(other.threshold_sketch)
-        out.sum_counter = self.sum_counter.merge(other.sum_counter)
-        out.count = self.count + other.count
+    def merge(self, *others: "FullRangePipeline") -> "FullRangePipeline":
+        out = self._merged(others)
+        out.threshold_sketch = self.threshold_sketch.merge(*(p.threshold_sketch for p in others))
         return out
 
     def estimate_at(self, t: float) -> float:
@@ -476,12 +475,11 @@ class SignedCombinationPipeline(_Pipeline):
         self.plus.ingest_batch(key64s, values)
         self.minus.ingest_batch(key64s, values)
 
-    def merge(self, other: "SignedCombinationPipeline") -> "SignedCombinationPipeline":
-        _check_field("coefficient function", self.signed, other.signed)
-        out = SignedCombinationPipeline.__new__(SignedCombinationPipeline)
-        out.signed = self.signed
-        out.plus = self.plus.merge(other.plus)
-        out.minus = self.minus.merge(other.minus)
+    def merge(self, *others: "SignedCombinationPipeline") -> "SignedCombinationPipeline":
+        """Pure merge of each part; the parts check their coefficient functions."""
+        out = copy.copy(self)
+        out.plus = self.plus.merge(*(p.plus for p in others))
+        out.minus = self.minus.merge(*(p.minus for p in others))
         return out
 
     def estimate(self) -> SignedEstimate:

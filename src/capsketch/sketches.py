@@ -13,7 +13,8 @@ value, which answers threshold queries for every threshold at once.
 Updates, merges and reads all concatenate entry arrays and apply the
 sketch's retention rule, so the state is a pure function of the entry set:
 merge order and input sharding never change the result, and a merged sketch
-is byte-identical to the single-pass sketch over the concatenated stream. A
+is byte-identical to the single-pass sketch over the concatenated stream.
+``merge`` takes any number of sketches and retains their union once. A
 scalar ``update`` is a one-element ``update_batch``. ``to_bytes`` writes bare
 entry records, so ``from_bytes`` takes ``k`` and ``seed`` from the caller.
 Instances are single-writer; readers are safe between updates.
@@ -40,15 +41,6 @@ __all__ = [
 
 # Entries per step of a batch update of the distinct and max-distinct sketches.
 _CHUNK_ENTRIES = 1 << 16
-
-
-def _check_compatible(a, b):
-    if type(a) is not type(b):
-        raise IncompatibleSketchError(f"cannot merge {type(a).__name__} with {type(b).__name__}")
-    if a.k != b.k:
-        raise IncompatibleSketchError(f"sketch size mismatch: k={a.k} vs k={b.k}")
-    if a.seed != b.seed:
-        raise IncompatibleSketchError(f"sketch seed mismatch: {a.seed} vs {b.seed}")
 
 
 def _rank_cut(keys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
@@ -221,11 +213,23 @@ class _BottomK:
             cut = _rank_cut(o, bases / v, self.k)
             self._add(o[cut], bases[cut], v[cut])
 
-    def _merged(self, other):
-        _check_compatible(self, other)
+    def merge(self, *others):
+        """A new sketch over every input's entries, retained once. Each sketch
+        class holds it as its own ``merge``, so wrapping one leaves the others."""
+        for other in others:
+            if type(other) is not type(self):
+                raise IncompatibleSketchError(f"cannot merge {type(self).__name__} with {type(other).__name__}")
+            if other.k != self.k:
+                raise IncompatibleSketchError(f"sketch size mismatch: k={self.k} vs k={other.k}")
+            if other.seed != self.seed:
+                raise IncompatibleSketchError(f"sketch seed mismatch: {self.seed} vs {other.seed}")
+        parts = (self, *others)
         out = type(self)(self.k, self.seed)
-        out._entries, out._ranks, out._values = self._entries, self._ranks, self._values
-        out._add(other._entries, other._ranks, other._values)
+        out._add(
+            np.concatenate([p._entries for p in parts]),
+            np.concatenate([p._ranks for p in parts]),
+            np.concatenate([p._values for p in parts]),
+        )
         return out
 
     @classmethod
@@ -261,8 +265,7 @@ class DistinctCounter(_BottomK):
             return None
         return float(self._ranks[-1]), int(self._entries[-1])
 
-    def merge(self, other: "DistinctCounter") -> "DistinctCounter":
-        return self._merged(other)
+    merge = _BottomK.merge
 
     def estimate(self) -> float:
         n = len(self._entries)
@@ -301,8 +304,7 @@ class MaxDistinctSketch(_BottomK):
             raise ValueError("max-distinct values must be positive and finite")
         self._add_batch(outkeys, values)
 
-    def merge(self, other: "MaxDistinctSketch") -> "MaxDistinctSketch":
-        return self._merged(other)
+    merge = _BottomK.merge
 
     def estimate(self) -> float:
         if len(self._entries) < self.k:
@@ -392,8 +394,7 @@ class AllThresholdSketch(_BottomK):
         function of t changing only at these points."""
         return self._profile[0].copy()
 
-    def merge(self, other: "AllThresholdSketch") -> "AllThresholdSketch":
-        return self._merged(other)
+    merge = _BottomK.merge
 
     def to_bytes(self) -> bytes:
         return np.rec.fromarrays([self._entries, self._values], dtype=ENTRY).tobytes()
@@ -437,11 +438,12 @@ class SumCounter:
         total = sum(((h << 26) + lo) << (e - exps[0]) for h, lo, e in zip(highs, lows, exps))
         self._total += Fraction(total << exps[0]) if exps[0] >= 0 else Fraction(total, 1 << -exps[0])
 
-    def merge(self, other: "SumCounter") -> "SumCounter":
-        if type(other) is not SumCounter:
-            raise IncompatibleSketchError(f"cannot merge SumCounter with {type(other).__name__}")
+    def merge(self, *others: "SumCounter") -> "SumCounter":
+        for other in others:
+            if type(other) is not SumCounter:
+                raise IncompatibleSketchError(f"cannot merge SumCounter with {type(other).__name__}")
         out = SumCounter()
-        out._total = self._total + other._total
+        out._total = sum((other._total for other in others), self._total)
         return out
 
     def value(self) -> float:

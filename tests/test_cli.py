@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from capsketch import PointPipeline, cli, sketches
 from capsketch.cli import main, read_sketch_file
 from capsketch.oracle import exact_statistic
+from capsketch.sketchfile import pack
 from capsketch.transforms import parse_statistic
 from test_golden import ROUTES
 
@@ -124,11 +126,64 @@ def test_merge_combination_estimates_agree(capsys, tmp_path, toy_tsv, toy_elemen
 
 
 def test_merge_single_input_is_identity(capsys, tmp_path, toy_tsv):
-    one = tmp_path / "one.fsk"
-    copy = tmp_path / "copy.fsk"
-    run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "point", "-o", str(one))
-    assert run(capsys, "merge", str(one), "-o", str(copy))[0] == 0
-    assert copy.read_bytes() == one.read_bytes()
+    # combination and signed merges of one file run the union-and-absorb path too
+    for route, (mode, stat) in sorted(ROUTES.items()):
+        one = tmp_path / f"{route}.fsk"
+        copy = tmp_path / f"{route}-copy.fsk"
+        assert run(capsys, "build", toy_tsv, "--stat", stat, "--mode", mode, "-o", str(one))[0] == 0
+        assert run(capsys, "merge", str(one), "-o", str(copy))[0] == 0
+        assert copy.read_bytes() == one.read_bytes(), route
+
+
+def test_merge_of_eight_fullrange_shards_walks_once(capsys, tmp_path):
+    # one merge retains the union of all its inputs once (a pairwise fold of
+    # 8 shards walked 7 times) and keeps the single pass's bytes
+    rows = [b"k%d\t%d" % (i * 7919 % 1000, 1 + i % 3) for i in range(800)]
+    common = ["--stat", "softcapT=5", "--mode", "fullrange", "--r", "3", "--k", "16"]
+    full = tmp_path / "full.fsk"
+    run(capsys, "build", write_tsv(tmp_path / "all.tsv", rows), *common, "-o", str(full))
+    shards = []
+    for i in range(8):
+        tsv = write_tsv(tmp_path / f"s{i}.tsv", rows[100 * i : 100 * (i + 1)])
+        shards.append(str(tmp_path / f"s{i}.fsk"))
+        assert run(capsys, "build", tsv, *common, "--ordinal-base", str(100 * i), "-o", shards[-1])[0] == 0
+    merged = tmp_path / "m.fsk"
+    with mock.patch.object(sketches, "_walk_kept", wraps=sketches._walk_kept) as walk_kept:
+        assert run(capsys, "merge", *shards, "-o", str(merged))[0] == 0
+    assert walk_kept.call_count == 1
+    assert merged.read_bytes() == full.read_bytes()
+
+
+def test_merged_count_past_the_last_u64_exits_3(capsys, tmp_path, toy_tsv):
+    fr = tmp_path / "fr.fsk"
+    run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "fullrange", "--r", "5", "-o", str(fr))
+    header, sections = read_sketch_file(str(fr))
+    fr.write_bytes(pack(dataclasses.replace(header, count=2**64 - 1), sections))
+    code, stdout, err = run(capsys, "merge", str(fr), str(fr), "-o", str(tmp_path / "m.fsk"))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and str(2**65 - 2) in err and err.count("\n") == 1
+    assert not (tmp_path / "m.fsk").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["build", "{d}/nope.tsv", "--stat", "softcapT=1", "-o", "{d}/x.fsk"], "{d}/nope.tsv"),
+        (["build", "{d}", "--stat", "softcapT=1", "-o", "{d}/x.fsk"], "{d}"),
+        (["build", "{tsv}", "--stat", "softcapT=1", "--r", "1", "-o", "{d}/nodir/x.fsk"], "{d}/nodir/x.fsk"),
+        (["merge", "{d}/nope.fsk", "-o", "{d}/x.fsk"], "{d}/nope.fsk"),
+        (["estimate", "{d}/nope.fsk"], "{d}/nope.fsk"),
+        (["exact", "{d}/nope.tsv", "--stat", "sqrt"], "{d}/nope.tsv"),
+    ],
+    ids=["build-missing-input", "build-directory-input", "build-missing-output-dir", "merge", "estimate", "exact"],
+)
+def test_unusable_path_exits_2(capsys, tmp_path, toy_tsv, argv, path):
+    # a path that cannot be read or written gives one error line naming it
+    fill = {"d": str(tmp_path), "tsv": toy_tsv}
+    code, stdout, err = run(capsys, *(a.format(**fill) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.format(**fill) in err
 
 
 def test_merge_associative_bytes(capsys, tmp_path, toy_tsv, toy_elements):

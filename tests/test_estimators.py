@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +105,15 @@ def test_point_merge_equals_single_pass(toy_elements):
     assert merged.estimate() == full.estimate()
 
 
+def test_merged_count_past_the_last_u64_is_refused():
+    # a file header stores the count as u64; the merge refuses what it cannot store
+    a, b = FullRangePipeline(r=3, epsilon=0.5, k=8), FullRangePipeline(r=3, epsilon=0.5, k=8)
+    a.count, b.count = 2**64 - 2, 1
+    assert a.merge(b).count == 2**64 - 1
+    with pytest.raises(IncompatibleSketchError, match=str(2**64)):
+        a.merge(b, b)
+
+
 @pytest.mark.xfail(strict=True, reason="shards at the same ordinal base share their draws")
 def test_merge_of_shards_at_one_ordinal_base_is_unbiased():
     # Two shards each hold key x once, both at the default ordinal base 0.
@@ -145,16 +156,21 @@ def test_soft_cap_huge_scale_returns_sum(toy_elements):
 # combination pipeline
 
 
+def sidelined(p):
+    """The sidelined keys and draws of a combination pipeline, in its (draw, outkey) order."""
+    return p.sidelined_keys.tolist(), p.sidelined_draws.tolist()
+
+
 def test_combination_degenerate_all_sidelined():
     a = inverse_transform("sqrt")
     p = CombinationPipeline(a, r=2, epsilon=0.5, k=64, seed=3)  # ell = 12
     els = [Element(b"a", 1.0), Element(b"b", 2.0)]
     for e in els:
         p.ingest(e)
-    assert len(p.sidelined) == 4  # 2 elements x r=2 outkeys, all sidelined
+    assert len(p.sidelined_keys) == 4  # 2 elements x r=2 outkeys, all sidelined
     tau = p.tau()
-    assert tau == max(p.sidelined.values())
-    expected = len(p.sidelined) * float(a.tail(tau)) / 2 + 3.0 * float(a.head(tau))
+    assert tau == p.sidelined_draws.max()
+    expected = len(p.sidelined_keys) * float(a.tail(tau)) / 2 + 3.0 * float(a.head(tau))
     assert p.estimate() == pytest.approx(expected, rel=1e-12)
 
 
@@ -195,6 +211,35 @@ def test_combination_fixed_cutoff_unbiased():
     assert abs(ms.mean() - target) < 4 * se
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_one_merge_of_many_combination_shards(signed):
+    # one merge of 4 shards keeps the fold's and the single pass's sidelined
+    # keys and estimate, and its bytes do not depend on the order of its inputs
+    if signed:
+        a, cls = cap1_approximation("three_point", **THREE_POINT_STABLE), SignedCombinationPipeline
+    else:
+        a, cls = inverse_transform(StatisticSpec("moment", {"p": 0.5})), CombinationPipeline
+    els = _random_elements(np.random.default_rng(8), 400, 70)
+    k64, vals = _hash_elements(els)
+    single = cls(a, r=3, epsilon=0.35, k=32, seed=5)
+    single.ingest_batch(k64, vals)
+    cuts = [0, 90, 200, 260, 400]
+    shards = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        shards.append(cls(a, r=3, epsilon=0.35, k=32, seed=5, ordinal_base=lo))
+        shards[-1].ingest_batch(k64[lo:hi], vals[lo:hi])
+    one = shards[0].merge(*shards[1:])
+    fold = functools.reduce(lambda x, y: x.merge(y), shards)
+    for attr in ("plus", "minus") if signed else (None,):
+        part = (lambda p: getattr(p, attr)) if attr else (lambda p: p)
+        assert sidelined(part(one)) == sidelined(part(fold)) == sidelined(part(single))
+        assert (part(one).count, part(one).ordinal_base) == (400, 0)
+    assert one.estimate() == fold.estimate() == single.estimate()
+    blob = one.to_bytes()
+    for order in itertools.permutations(shards):
+        assert order[0].merge(*order[1:]).to_bytes() == blob
+
+
 def test_combination_merge_and_batch_equivalence():
     rng = np.random.default_rng(8)
     els = _random_elements(rng, 400, 70)
@@ -209,12 +254,12 @@ def test_combination_merge_and_batch_equivalence():
     for e in els[150:]:
         right.ingest(e)
     merged = left.merge(right)
-    assert merged.sidelined == single.sidelined
+    assert sidelined(merged) == sidelined(single)
     assert merged.estimate() == single.estimate()
     twin = CombinationPipeline(a, r=3, epsilon=0.35, k=32, seed=5)
     k64, vals = _hash_elements(els)
     twin.ingest_batch(k64, vals)
-    assert twin.sidelined == single.sidelined
+    assert sidelined(twin) == sidelined(single)
     assert twin.estimate() == single.estimate()
 
 

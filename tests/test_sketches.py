@@ -396,6 +396,44 @@ def test_sketches_equal_their_definitions(entries, k, seed, chunk, data):
         assert merged.to_bytes() == expected
 
 
+def _fold(items, data):
+    """The pairwise merges of ``items`` in an order and grouping drawn by hypothesis."""
+    items = list(items)
+    while len(items) > 1:
+        a = items.pop(data.draw(st.integers(0, len(items) - 1)))
+        b = items.pop(data.draw(st.integers(0, len(items) - 1)))
+        items.append(a.merge(b))
+    return items[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=definition_entries, k=st.integers(1, 6), seed=st.integers(0, 2**32), n_parts=st.integers(1, 8), data=st.data())
+def test_one_merge_of_many_equals_every_fold(entries, k, seed, n_parts, data):
+    # merge(*others) retains the union of 1-8 parts once; it holds the bytes
+    # of every pairwise fold and of the single sketch over all entries
+    n = len(entries)
+    owner = np.array(data.draw(st.lists(st.integers(0, n_parts - 1), min_size=n, max_size=n)), dtype=int)
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    ys = np.array([y for _, y in entries], dtype=np.float64)
+    cases = [
+        (lambda: DistinctCounter(k, seed), lambda sk, sel: sk.update_batch(keys[sel])),
+        (lambda: MaxDistinctSketch(k, seed), lambda sk, sel: sk.update_batch(keys[sel], ys[sel] + 0.25)),
+        (lambda: AllThresholdSketch(k, seed), lambda sk, sel: sk.update_batch(keys[sel], ys[sel])),
+        (SumCounter, lambda sk, sel: sk.update_batch(ys[sel] + 0.25)),
+    ]
+    for make, feed in cases:
+        whole = make()
+        feed(whole, slice(None))
+        parts = []
+        for p in range(n_parts):
+            parts.append(make())
+            feed(parts[-1], owner == p)
+        one = parts[0].merge(*parts[1:])
+        assert type(one) is type(whole)
+        assert one.to_bytes() == whole.to_bytes()
+        assert _fold(parts, data).to_bytes() == one.to_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(entries=definition_entries, k=st.integers(1, 6), seed=st.integers(0, 2**32), data=st.data())
 def test_threshold_profile_equals_its_definition(entries, k, seed, data):

@@ -4,7 +4,9 @@
 ``__dict__`` and counts sketch entries with ``len(sketch._entries)``, and it
 reads 0 without failing when either is missing. A build in each mode, a merge
 and an estimate under the tracer must therefore give sketch spans with
-entries, and uninstalling must put every original back.
+entries, and uninstalling must put every original back. A merge of three
+files must be one pipeline merge and one merge of each sketch it holds, so
+that the benchmark's merge times mean one merge per command.
 """
 
 import importlib.util
@@ -28,13 +30,14 @@ def tracing():
     del sys.modules[spec.name]
 
 
-# (--mode, --stat, sketch class holding the entries); capT=5 in combination
-# mode takes the signed route.
+# (--mode, --stat, sketch class holding the entries, pipeline class, number
+# of sketches of each class in the pipeline); capT=5 in combination mode takes
+# the signed route.
 ROUTES = [
-    ("point", "softcapT=5", "DistinctCounter"),
-    ("fullrange", "softcapT=5", "AllThresholdSketch"),
-    ("combination", "sqrt", "MaxDistinctSketch"),
-    ("combination", "capT=5", "MaxDistinctSketch"),
+    ("point", "softcapT=5", "DistinctCounter", "PointPipeline", 1),
+    ("fullrange", "softcapT=5", "AllThresholdSketch", "FullRangePipeline", 1),
+    ("combination", "sqrt", "MaxDistinctSketch", "CombinationPipeline", 1),
+    ("combination", "capT=5", "MaxDistinctSketch", "SignedCombinationPipeline", 2),
 ]
 
 
@@ -46,20 +49,25 @@ def test_tracer_sees_sketch_entries_and_uninstalls(tmp_path, capsys, tracing):
     patches = list(tracer._patches)
     try:
         assert patches and all(owner.__dict__[attr] is not raw for owner, attr, raw in patches)
-        for j, (mode, stat, _) in enumerate(ROUTES):
+        for j, (mode, stat, sketch, pipeline, each) in enumerate(ROUTES):
             shards = []
-            for base in (0, 1000):
+            for base in (0, 1000, 2000):
                 out = tmp_path / f"{j}-{base}.fsk"
                 argv = ["build", str(tsv), "--mode", mode, "--stat", stat, "--r", "9", "--k", "8"]
                 assert main([*argv, "--ordinal-base", str(base), "-o", str(out)]) == 0
                 shards.append(str(out))
             merged = tmp_path / f"{j}.fsk"
+            start = len(tracer.spans)
             assert main(["merge", *shards, "-o", str(merged)]) == 0
+            merges = [s.name for s in tracer.spans[start:] if s.name.endswith(".merge")]
+            assert merges.count(f"estimators.{pipeline}.merge") == 1
+            sketch_merges = sorted(n for n in merges if n.startswith("sketches."))
+            assert sketch_merges == sorted([f"sketches.{sketch}.merge", "sketches.SumCounter.merge"] * each)
             assert main(["estimate", str(merged)]) == 0
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is raw for owner, attr, raw in patches)
-    for _, _, cls in ROUTES:
+    for _, _, cls, _, _ in ROUTES:
         for method in ("update_batch", "from_bytes"):
             name = f"sketches.{cls}.{method}"
             entries = [s.counts.get("entries", 0) for s in tracer.spans if s.name == name]
