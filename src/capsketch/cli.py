@@ -6,7 +6,7 @@ optional and defaults to 1. Keys are raw bytes up to the first tab. Blank
 lines are skipped but counted in line numbers.
 
 Exit codes: 0 success, 2 parse error (a malformed line, sketch file or
-build or query option) or a path that cannot be read or written, 3
+build, query or bench option) or a path that cannot be read or written, 3
 incompatible sketches, 4 unsupported statistic.
 """
 
@@ -274,6 +274,14 @@ def _cmd_exact(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import point_benchmark, write_csv
 
+    # options that would stop the run or fill it with nan exit 2 before any work
+    checks = [("--alpha", a, 0.0 < a < inf, "positive and finite") for a in args.alpha]
+    checks += [("--T", T, 0.0 < T < inf and 1.0 / T < inf, "positive and finite with a finite reciprocal") for T in args.T]
+    counts = (("--n", [args.n]), ("--r", args.r), ("--k", [args.k]), ("--reps", [args.reps]), ("--n-keys", [args.n_keys]))
+    checks += [(name, v, v >= 1, ">= 1") for name, values in counts for v in values]
+    for name, value, ok, domain in checks:
+        if not ok:
+            raise ParseError(f"{name} must be {domain}, got {value}")
     rows = point_benchmark(
         alphas=args.alpha,
         n_elements=args.n,

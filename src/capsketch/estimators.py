@@ -13,9 +13,13 @@ one ingest path per mode. Given the same ordinals, batches of any sizes leave
 point and full-range pipelines byte-identical, and combination pipelines with
 the same sidelined keys and estimate. Every mode rejects the same values (not
 positive and finite, or so small that a draw overflows) before it changes any
-state, so a rejected call leaves the pipeline as it was.
+state, so a rejected call leaves the pipeline as it was; a signed pipeline
+maps a batch for both its parts before either takes it.
 
-``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one, given t or the coefficient function.
+``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one,
+given t or the coefficient function, and refuse with ``ParseError`` values no
+build writes: draws or values outside their sketch's domain, a negative sum,
+or signed parts with different sums.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import ceil, inf
 
 import numpy as np
 
-from .core import MIN_EPSILON, Element, ElementValidationError, IncompatibleSketchError, hash_key
+from .core import MIN_EPSILON, Element, ElementValidationError, IncompatibleSketchError, ParseError, hash_key
 from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from .sketchfile import ENTRY, SketchFileHeader, pack, records, unpack
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
@@ -244,9 +248,17 @@ class CombinationPipeline(_PipelineBase):
         self.sidelined_draws = np.empty(0, dtype=np.float64)
 
     def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
+        self._commit(*self._map(key64s, values))
+
+    def _map(self, key64s: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values and the (outkey, draw) outputs of a batch; changes
+        nothing, and raises on any value the pipeline rejects."""
         values = np.asarray(values, dtype=np.float64)
         ordinals = self._next_ordinals(len(values))
         outkeys, ys = full_range_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
+        return values, outkeys, ys
+
+    def _commit(self, values: np.ndarray, outkeys: np.ndarray, ys: np.ndarray) -> None:
         self.count += len(values)
         self._absorb_batch(outkeys, ys)
         self.sum_counter.update_batch(values)
@@ -311,7 +323,8 @@ class CombinationPipeline(_PipelineBase):
     def _load(self, sections: list[bytes], count: int) -> None:
         side, entries, total = sections
         rec = records(side, ENTRY)
-        self.sidelined_keys, self.sidelined_draws = rec["outkey"], rec["value"]
+        # sidelined draws lie where full-range ys do, in [0, inf)
+        self.sidelined_keys, self.sidelined_draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
         self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.k, self.seed)
         self.sum_counter = SumCounter.from_bytes(total)
         self.count = count
@@ -472,8 +485,11 @@ class SignedCombinationPipeline(_Pipeline):
         return self.plus.epsilon
 
     def ingest_batch(self, key64s, values) -> None:
-        self.plus.ingest_batch(key64s, values)
-        self.minus.ingest_batch(key64s, values)
+        """Both parts map the batch before either takes it, so a value whose
+        draws overflow under one part's seed only leaves both unchanged."""
+        plus, minus = self.plus._map(key64s, values), self.minus._map(key64s, values)
+        self.plus._commit(*plus)
+        self.minus._commit(*minus)
 
     def merge(self, *others: "SignedCombinationPipeline") -> "SignedCombinationPipeline":
         """Pure merge of each part; the parts check their coefficient functions."""
@@ -500,4 +516,6 @@ class SignedCombinationPipeline(_Pipeline):
         out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
         out.plus._load(sections[:3], h.count)
         out.minus._load(sections[3:], h.count)
+        if out.plus.sum_counter.exact() != out.minus.sum_counter.exact():
+            raise ParseError("the two parts of a signed file hold different sums")
         return out

@@ -8,7 +8,8 @@ distinct counter keeps the k smallest base ranks; the max-distinct sketch
 divides the base rank by the largest value seen for the key, so a key's rank
 shrinks as its value grows; the all-threshold sketch keeps an entry when its
 rank is among the k smallest of stored keys with a smaller-or-equal minimum
-value, which answers threshold queries for every threshold at once.
+value, which answers threshold queries for every threshold at once; it
+derives its threshold profile from those entries on the first query.
 
 Updates, merges and reads all concatenate entry arrays and apply the
 sketch's retention rule, so the state is a pure function of the entry set:
@@ -16,7 +17,8 @@ merge order and input sharding never change the result, and a merged sketch
 is byte-identical to the single-pass sketch over the concatenated stream.
 ``merge`` takes any number of sketches and retains their union once. A
 scalar ``update`` is a one-element ``update_batch``. ``to_bytes`` writes bare
-entry records, so ``from_bytes`` takes ``k`` and ``seed`` from the caller.
+entry records, so ``from_bytes`` takes ``k`` and ``seed`` from the caller; it
+refuses with ``ParseError`` any value that no update takes.
 Instances are single-writer; readers are safe between updates.
 """
 
@@ -142,19 +144,14 @@ def _walk_kept(okeys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(kept, dtype=np.intp)
 
 
-def _prefix_bottom_k(
-    okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
     """Indices of the entries an all-threshold sketch of size k retains, in
-    (y, rank, outkey) order and in (rank, outkey) order, and the k-th smallest
-    rank retained by each in the first order (inf below k).
+    (rank, outkey) order.
 
     Entries are walked in (y, rank, outkey) order, and an outkey's first
     entry has its smallest y. An input that is already retained, as every
     stored sketch is, is recognised in vector operations; any other goes
-    through :func:`_walk_kept`. The kept entries are a retained set either
-    way, so entry j's k-th smallest is the rank of D_(j-k+1), the (j-k+1)-th
-    largest kept (rank, outkey).
+    through :func:`_walk_kept`.
     """
     order = np.argsort(ys)
     s_ys = ys[order]
@@ -165,10 +162,7 @@ def _prefix_bottom_k(
     if by_rank is None:
         order = order[_walk_kept(s_okeys, s_ranks, k)]
         by_rank = np.lexsort((okeys[order], ranks[order]))
-    ranked = order[by_rank]
-    kths = np.full(len(order), inf)
-    kths[k - 1 :] = ranks[ranked[::-1][: max(len(order) - k + 1, 0)]]
-    return order, ranked, kths
+    return order[by_rank]
 
 
 class _BottomK:
@@ -190,6 +184,20 @@ class _BottomK:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @staticmethod
+    def _check(values: np.ndarray) -> None:
+        """Raise ValueError on values an update rejects."""
+
+    @classmethod
+    def _stored(cls, values: np.ndarray) -> np.ndarray:
+        """Values read from a file as float64; ones no update takes raise ParseError."""
+        values = values.astype(np.float64)
+        try:
+            cls._check(values)
+        except ValueError as exc:
+            raise ParseError(f"stored {exc}") from None
+        return values
 
     def _retain(self, okeys: np.ndarray, bases: np.ndarray, values: np.ndarray) -> np.ndarray:
         return _bottom_k(okeys, bases, values, self.k)
@@ -237,7 +245,7 @@ class _BottomK:
         """Sketch of size k and seed retaining the given entries."""
         okeys = okeys.astype(np.uint64)
         sk = cls(k, seed)
-        sk._add(okeys, base_ranks(okeys, seed), values.astype(np.float64))
+        sk._add(okeys, base_ranks(okeys, seed), cls._stored(values))
         return sk
 
 
@@ -300,9 +308,13 @@ class MaxDistinctSketch(_BottomK):
         values = np.asarray(values, dtype=np.float64)
         if outkeys.size == 0:
             return
-        if not np.all((values > 0.0) & (values < inf)):
-            raise ValueError("max-distinct values must be positive and finite")
+        self._check(values)
         self._add_batch(outkeys, values)
+
+    @staticmethod
+    def _check(values: np.ndarray) -> None:
+        if not ((values > 0.0) & (values < inf)).all():
+            raise ValueError("max-distinct values must be positive and finite")
 
     merge = _BottomK.merge
 
@@ -330,12 +342,10 @@ class AllThresholdSketch(_BottomK):
     keys among all keys with minimum value <= t, so threshold queries behave
     exactly like a bottom-k counter built at that threshold. Expected size is
     O(k log(n/k)).
-    """
 
-    def __init__(self, k: int, seed: int = 0):
-        super().__init__(k, seed)
-        # the retained ys in walk order and the k-th smallest rank retained at each
-        self._walk = (np.empty(0), np.empty(0))
+    The sketch is its entries: the count, the k-th smallest rank and the
+    estimate at each stored y, which every query reads, are derived from them.
+    """
 
     def update(self, outkey: int, y: float) -> None:
         self.update_batch(np.array([outkey], dtype=np.uint64), np.array([y], dtype=np.float64))
@@ -345,49 +355,48 @@ class AllThresholdSketch(_BottomK):
         ys = np.asarray(ys, dtype=np.float64)
         if outkeys.size == 0:
             return
-        if not np.all((ys >= 0.0) & (ys < inf)):
-            raise ValueError("threshold values must be finite and >= 0")
+        self._check(ys)
         self._add(outkeys, base_ranks(outkeys, self.seed), ys)
 
+    @staticmethod
+    def _check(ys: np.ndarray) -> None:
+        if not ((ys >= 0.0) & (ys < inf)).all():
+            raise ValueError("threshold values must be finite and >= 0")
+
     def _retain(self, okeys: np.ndarray, bases: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Retained entries in (rank, outkey) order; the walk is kept for the profile."""
-        walk, ranked, kths = _prefix_bottom_k(okeys, ys, bases, self.k)
-        self._walk = (ys[walk], kths)
         self.__dict__.pop("_profile", None)
-        return ranked
+        return _prefix_bottom_k(okeys, ys, bases, self.k)
 
     @cached_property
-    def _profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """At each distinct stored y, ascending: the number of entries with
-        y' <= y and the k-th smallest rank among them (inf below k entries).
-        Built on the first query after a change, so reads and merges that are
-        only written out never build it."""
-        y, kths = self._walk
-        at = np.flatnonzero(np.append(y[1:] != y[:-1], y.size > 0))  # the last entry of each run of equal y
-        return y[at], at + 1, kths[at]
+    def _profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """At each distinct stored y, ascending: the number m of entries with
+        y' <= y and the k-th smallest rank among them (inf while m < k).
+        Last, the estimate at t for each count of distinct stored ys <= t,
+        from none: 0, then m while m < k and (k-1)/(1 - e^-kth) from there
+        on. Built on the first query after a change, so reads and merges that
+        are only written out never build it.
+
+        The entries are a retained set, so past the first k - 1 in y order
+        the k-th smallest rank is each stored rank in turn, largest first."""
+        y = np.sort(self._values)
+        counts = np.arange(1, len(y) + 1)
+        kths = np.full(len(y), inf)
+        kths[self.k - 1 :] = self._ranks[::-1][: max(len(y) - self.k + 1, 0)]
+        ests = np.arange(len(y) + 1.0)
+        ests[self.k :] = (self.k - 1) / -np.expm1(-kths[self.k - 1 :])
+        if (y[1:] == y[:-1]).any():  # keep the last entry of each run of equal y
+            at = np.flatnonzero(np.append(y[1:] != y[:-1], True))
+            y, counts, kths, ests = y[at], counts[at], kths[at], ests[np.append(0, at + 1)]
+        return y, counts, kths, ests
 
     def estimate_at(self, t: float) -> float:
         """Estimated number of distinct outkeys with minimum value <= t."""
-        ys, counts, kths = self._profile
-        idx = int(np.searchsorted(ys, t, side="right")) - 1
-        if idx < 0:
-            return 0.0
-        m = int(counts[idx])
-        if m < self.k:
-            return float(m)
-        return (self.k - 1) / -expm1(-float(kths[idx]))
+        ys, _, _, ests = self._profile
+        return float(ests[np.searchsorted(ys, t, side="right")])
 
     def estimate_all(self, ts: np.ndarray) -> np.ndarray:
-        ys, counts, kths = self._profile
-        ts = np.asarray(ts, dtype=np.float64)
-        if ys.size == 0:
-            return np.zeros_like(ts)
-        idx = np.searchsorted(ys, ts, side="right") - 1
-        safe = np.maximum(idx, 0)
-        m = counts[safe]
-        with np.errstate(invalid="ignore"):
-            est = np.where(m < self.k, m.astype(np.float64), (self.k - 1) / -np.expm1(-kths[safe]))
-        return np.where(idx < 0, 0.0, est)
+        ys, _, _, ests = self._profile
+        return ests[np.searchsorted(ys, np.asarray(ts, dtype=np.float64), side="right")]
 
     def breakpoints(self) -> np.ndarray:
         """Distinct stored minimum values, ascending; the estimate is a step
@@ -462,9 +471,12 @@ class SumCounter:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SumCounter":
+        """The sum a ``to_bytes`` wrote; a negative one, which no update reaches, raises ParseError."""
         out = cls()
         try:
             out._total = Fraction(data.decode("ascii"))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"malformed sum {data[:40]!r}") from None
+        if out._total < 0:
+            raise ParseError(f"negative sum {data[:40]!r}")
         return out

@@ -21,7 +21,7 @@ from capsketch import (
 from capsketch import mappers
 from capsketch.cli import _signed_function, main
 from capsketch.core import base_ranks, hash_key, hash_keys, outkey_block
-from capsketch.estimators import _lookup, _smallest
+from capsketch.estimators import _MINUS_SEED_FLIP, _lookup, _smallest
 from capsketch.mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from capsketch.oracle import zipf_ranks
 from capsketch.transforms import inverse_transform, parse_statistic
@@ -257,15 +257,17 @@ def test_lookup_finds_pool_members(pool, extra):
 # values whose exponential draws overflow
 
 SUBNORMAL = 1e-320
+# its draws overflow under some seeds and ordinals and not under others
+ONE_PART = 1e-308
 
 
-def _pipelines(ordinal_base=0):
+def _pipelines(ordinal_base=0, seed=0):
     a = inverse_transform(parse_statistic("sqrt"))
     signed = _signed_function(parse_statistic("capT=5"))
     return [
-        FullRangePipeline(r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base),
-        CombinationPipeline(a, r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base),
-        SignedCombinationPipeline(signed, r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base),
+        FullRangePipeline(r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
+        CombinationPipeline(a, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
+        SignedCombinationPipeline(signed, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
     ]
 
 
@@ -294,14 +296,40 @@ def test_batch_rejects_values_elements_reject(bad):
         FullRangePipeline(r=3, epsilon=0.3, k=8).ingest_batch(k64, np.array([1.0, bad]))
 
 
-def _all_pipelines(ordinal_base=0):
-    return [PointPipeline.for_soft_cap(5.0, r=3, epsilon=0.3, k=8, ordinal_base=ordinal_base), *_pipelines(ordinal_base)]
+def _all_pipelines(ordinal_base=0, seed=0):
+    point = PointPipeline.for_soft_cap(5.0, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base)
+    return [point, *_pipelines(ordinal_base, seed)]
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, SUBNORMAL])
+def _overflows(seed: int, ordinal: int, value: float) -> bool:
+    """Whether some of a value's three draws at an ordinal overflow under a
+    seed; the key does not enter the draws."""
+    cfg = MapperConfig(r=3, seed=seed)
+    try:
+        full_range_batch(np.zeros(1, dtype=np.uint64), np.array([value]), cfg, np.array([ordinal], dtype=np.uint64))
+    except ElementValidationError:
+        return True
+    return False
+
+
+def _seed_rejecting_one_part(index: int) -> int:
+    """The first seed at which pipeline ``index`` rejects ONE_PART at
+    ordinals 1 and 2. For the signed pipeline only its negative part's draws
+    overflow there, so its positive part alone would take the value."""
+    for seed in range(1000):
+        if index == 3:
+            if all(_overflows(seed ^ _MINUS_SEED_FLIP, o, ONE_PART) and not _overflows(seed, o, ONE_PART) for o in (1, 2)):
+                return seed
+        elif all(_overflows(seed, o, ONE_PART) for o in (1, 2)):
+            return seed
+    raise AssertionError("no seed found")
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, SUBNORMAL, ONE_PART])
 @pytest.mark.parametrize("index", range(4))
 def test_rejected_values_leave_pipeline_unchanged(index, bad):
-    pipeline = _all_pipelines()[index]
+    # the element "b" gets ordinal 2 in the batch and 1 on its own
+    pipeline = _all_pipelines(seed=_seed_rejecting_one_part(index) if bad == ONE_PART else 0)[index]
     pipeline.ingest(Element(b"a", 1.0))
     before = pipeline.to_bytes()
     k64 = np.array([hash_key(b"c"), hash_key(b"b")], dtype=np.uint64)

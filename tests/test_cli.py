@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from capsketch import PointPipeline, cli, sketches
 from capsketch.cli import main, read_sketch_file
 from capsketch.oracle import exact_statistic
-from capsketch.sketchfile import pack
+from capsketch.sketchfile import ENTRY, pack, records
 from capsketch.transforms import parse_statistic
 from test_golden import ROUTES
 
@@ -162,6 +163,53 @@ def test_merged_count_past_the_last_u64_exits_3(capsys, tmp_path, toy_tsv):
     code, stdout, err = run(capsys, "merge", str(fr), str(fr), "-o", str(tmp_path / "m.fsk"))
     assert (code, stdout) == (3, "")
     assert err.startswith("error: ") and str(2**65 - 2) in err and err.count("\n") == 1
+    assert not (tmp_path / "m.fsk").exists()
+
+
+# (route, section, change): the first record of a section given a value, or a
+# section replaced; the files keep a valid CRC
+UNBUILDABLE = [
+    ("fullrange", 0, math.nan),
+    ("fullrange", 0, -1.0),
+    ("fullrange", 0, math.inf),
+    ("combination", 0, math.nan),
+    ("combination", 0, -1.0),
+    ("combination", 0, math.inf),
+    ("combination", 1, 0.0),
+    ("combination", 1, math.nan),
+    ("combination", 1, math.inf),
+    ("point", 1, b"-5/1"),
+    ("fullrange", 1, b"-5/1"),
+    ("combination", 2, b"-5/1"),
+    ("signed", 5, b"7/1"),
+]
+
+
+@pytest.mark.parametrize(
+    "route,section,change",
+    UNBUILDABLE,
+    ids=["y-nan", "y-negative", "y-inf", "sidelined-nan", "sidelined-negative", "sidelined-inf", "max-distinct-zero",
+         "max-distinct-nan", "max-distinct-inf", "point-sum-negative", "fullrange-sum-negative",
+         "combination-sum-negative", "signed-sums-differ"],
+)
+def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, change):
+    mode, stat = ROUTES[route]
+    tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(300)])
+    path = tmp_path / "x.fsk"
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "--epsilon", "0.5", "-o", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    header, sections = read_sketch_file(str(path))
+    if isinstance(change, bytes):
+        sections[section] = change
+    else:
+        rec = records(sections[section], ENTRY).copy()
+        rec["value"][0] = change
+        sections[section] = rec.tobytes()
+    path.write_bytes(pack(header, sections))
+    for argv in (["estimate", str(path)], ["merge", str(path), "-o", str(tmp_path / "m.fsk")]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "m.fsk").exists()
 
 
@@ -419,6 +467,34 @@ def test_bench_command(capsys, tmp_path):
         cells = line.split(",")
         exact, mean_est, _, nrmse_approx = (float(c) for c in cells[4:])
         assert nrmse_approx == pytest.approx(abs(mean_est - exact) / exact, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--r", "0"),
+        ("--r", "1", "0"),
+        ("--k", "0"),
+        ("--T", "0"),
+        ("--T", "-1"),
+        ("--T", "1e-320"),
+        ("--T", "inf"),
+        ("--T", "nan"),
+        ("--alpha", "0"),
+        ("--alpha", "inf"),
+        ("--n-keys", "0"),
+        ("--reps", "0"),
+        ("--n", "0"),
+    ],
+)
+def test_out_of_range_bench_options_exit_2(capsys, tmp_path, option):
+    # checked before any work: no rows, no warnings, one error line
+    out = tmp_path / "bench.csv"
+    small = ["--alpha", "1.5", "--n", "200", "--T", "5", "--r", "1", "--k", "10", "--reps", "2", "--n-keys", "100"]
+    code, stdout, err = run(capsys, "bench", *small, *option, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {option[0]} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_huge_sum_estimates_inf(capsys, tmp_path):

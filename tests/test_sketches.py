@@ -15,6 +15,7 @@ from capsketch import (
     SumCounter,
     sketches,
 )
+from capsketch.sketchfile import ENTRY, records
 from reference import base_rank as _base_rank
 from reference import bottom_k_of_maxima, prefix_bottom_k, sketch_blob, threshold_profile
 
@@ -437,8 +438,9 @@ def test_one_merge_of_many_equals_every_fold(entries, k, seed, n_parts, data):
 @settings(max_examples=60, deadline=None)
 @given(entries=definition_entries, k=st.integers(1, 6), seed=st.integers(0, 2**32), data=st.data())
 def test_threshold_profile_equals_its_definition(entries, k, seed, data):
-    # the profile kept from the retention walk, after updates, a merge and a
-    # read, equals the heap walk over the stored entries in (y, rank, outkey) order
+    # the profile derived from the stored entries, after updates, a merge, a
+    # read and a read of the records shuffled, equals the heap walk over the
+    # stored entries in (y, rank, outkey) order
     keys = np.array([o for o, _ in entries], dtype=np.uint64)
     ys = np.array([y for _, y in entries], dtype=np.float64)
     cut = data.draw(st.integers(0, len(entries)))
@@ -446,9 +448,13 @@ def test_threshold_profile_equals_its_definition(entries, k, seed, data):
     a.update_batch(keys[:cut], ys[:cut])
     b.update_batch(keys[cut:], ys[cut:])
     merged = a.merge(b)
-    for sk in (a, b, merged, AllThresholdSketch.from_bytes(merged.to_bytes(), k, seed)):
+    shuffled = records(merged.to_bytes(), ENTRY)[data.draw(st.permutations(range(len(merged))))]
+    back = AllThresholdSketch.from_bytes(shuffled.tobytes(), k, seed)
+    for got, want in zip(back._profile, merged._profile):
+        assert got.tobytes() == want.tobytes()
+    for sk in (a, b, merged, AllThresholdSketch.from_bytes(merged.to_bytes(), k, seed), back):
         expected = threshold_profile(sk._values.tolist(), sk._ranks.tolist(), sk._entries.tolist(), k)
-        for got, want in zip(sk._profile, expected):
+        for got, want in zip(sk._profile[:3], expected):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -461,20 +467,15 @@ def _walk_spy():
     return mock.patch.object(sketches, "_walk_kept", wraps=sketches._walk_kept)
 
 
-def _assert_walk(okeys, ys, ranks, k, walk, ranked, kths):
-    """The outputs of ``_prefix_bottom_k`` name the same kept entries in
-    (y, rank, outkey) and (rank, outkey) order, with each entry's k-th
-    smallest rank, at every run end as ``threshold_profile`` gives it."""
-    assert sorted(walk.tolist()) == sorted(ranked.tolist())
-    triples = list(zip(ys[walk].tolist(), ranks[walk].tolist(), okeys[walk].tolist()))
-    assert triples == sorted(triples)
-    assert list(zip(ranks[ranked].tolist(), okeys[ranked].tolist())) == sorted(t[1:] for t in triples)
-    assert kths.tolist() == [sorted(ranks[walk[: j + 1]].tolist())[k - 1] if j >= k - 1 else math.inf for j in range(len(walk))]
-    y = ys[walk]
-    at = np.flatnonzero(np.append(y[1:] != y[:-1], y.size > 0))
-    profile = threshold_profile(ys[walk].tolist(), ranks[walk].tolist(), okeys[walk].tolist(), k)
-    for got, want in zip((y[at], at + 1, kths[at]), profile):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def _assert_kept(pairs, k, seed, rank):
+    """``_prefix_bottom_k`` over (outkey, y) pairs keeps the entries that
+    ``reference.prefix_bottom_k`` holds, in its (rank, outkey) order."""
+    okeys = np.array([o for o, _ in pairs], dtype=np.uint64)
+    ys = np.array([y for _, y in pairs], dtype=np.float64)
+    ranks = np.array([rank(o, seed) for o, _ in pairs], dtype=np.float64)
+    ranked = sketches._prefix_bottom_k(okeys, ys, ranks, k)
+    assert list(zip(okeys[ranked].tolist(), ys[ranked].tolist())) == prefix_bottom_k(pairs, k, seed, rank)
+    return ranked
 
 
 retention_entries = st.lists(
@@ -488,17 +489,13 @@ retention_entries = st.lists(
 @given(entries=retention_entries, k=st.integers(1, 8), seed=st.integers(0, 2**32), tied=st.booleans(), data=st.data())
 def test_retained_set_is_kept_whole_without_the_walk(entries, k, seed, tied, data):
     # a retention's output, in any order, is recognised in vector operations:
-    # every entry is kept, and each k-th smallest comes from the closed form
+    # every entry is kept, in (rank, outkey) order
     rank = _tied_rank if tied else _base_rank
     kept = data.draw(st.permutations(prefix_bottom_k(entries, k, seed, rank)))
-    okeys = np.array([o for o, _ in kept], dtype=np.uint64)
-    ys = np.array([y for _, y in kept], dtype=np.float64)
-    ranks = np.array([rank(o, seed) for o, _ in kept], dtype=np.float64)
     with _walk_spy() as walk_kept:
-        walk, ranked, kths = sketches._prefix_bottom_k(okeys, ys, ranks, k)
+        ranked = _assert_kept(kept, k, seed, rank)
     assert walk_kept.call_count == 0
-    assert sorted(walk.tolist()) == list(range(len(kept)))
-    _assert_walk(okeys, ys, ranks, k, walk, ranked, kths)
+    assert sorted(ranked.tolist()) == list(range(len(kept)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -526,13 +523,7 @@ def test_near_retained_sets_equal_their_definition(entries, k, seed, tied, mutat
         pairs[i], pairs[j] = (oi, yj), (oj, yi)
     elif mutation == "extra":
         pairs.append(data.draw(retention_entries)[0])
-    pairs = data.draw(st.permutations(pairs))
-    okeys = np.array([o for o, _ in pairs], dtype=np.uint64)
-    ys = np.array([y for _, y in pairs], dtype=np.float64)
-    ranks = np.array([rank(o, seed) for o, _ in pairs], dtype=np.float64)
-    walk, ranked, kths = sketches._prefix_bottom_k(okeys, ys, ranks, k)
-    assert list(zip(okeys[ranked].tolist(), ys[ranked].tolist())) == prefix_bottom_k(pairs, k, seed, rank)
-    _assert_walk(okeys, ys, ranks, k, walk, ranked, kths)
+    _assert_kept(data.draw(st.permutations(pairs)), k, seed, rank)
 
 
 def test_stored_sketch_loads_without_the_walk():
