@@ -8,24 +8,27 @@ and t * SUM is the better answer.
 
 Pipelines are single-writer; ``merge`` is pure, takes any number of
 pipelines and returns a new one, merging each sketch once.
-``ingest`` takes one element as a one-element ``ingest_batch``, so there is
-one ingest path per mode. Given the same ordinals, batches of any sizes leave
-point and full-range pipelines byte-identical, and combination pipelines with
-the same sidelined keys and estimate. Every mode rejects the same values (not
-positive and finite, or so small that a draw overflows) before it changes any
-state, so a rejected call leaves the pipeline as it was; a signed pipeline
-maps a batch for both its parts before either takes it.
+Every pipeline shares one ingest path and one file path, and a mode
+supplies only its mapping and its sketch sections. ``ingest`` takes one
+element as a one-element ``ingest_batch``. Given the same ordinals, batches
+of any sizes leave point and full-range pipelines byte-identical, and
+combination pipelines with the same sidelined keys and estimate. Every mode
+rejects the same values (not positive and finite, or so small that a draw
+overflows) before it changes any state, so a rejected call leaves the
+pipeline as it was; a signed pipeline maps a batch for both its parts
+before either takes it.
 
 ``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one,
 given t or the coefficient function, and refuse with ``ParseError`` values no
 build writes: draws or values outside their sketch's domain, a negative sum,
-or signed parts with different sums.
+signed parts with different sums, or sidelined keys that are not the distinct,
+(draw, outkey)-ordered set a build or merge leaves.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, inf
 
 import numpy as np
@@ -81,20 +84,13 @@ def _smallest(keys: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Pipeline:
-    """Shared by every pipeline: ``ingest`` as a one-element batch, and reading a file of its ``MODE``."""
+    """Shared by every pipeline: the ordinals, the count and the exact sum,
+    one ingest path, and one way to write and read a file of its ``MODE``.
 
-    def ingest(self, e: Element) -> None:
-        e = e if isinstance(e, Element) else Element(*e)
-        self.ingest_batch(np.array([hash_key(e.key)], dtype=np.uint64), np.array([e.value]))
-
-    @classmethod
-    def from_bytes(cls, data: bytes, *head):
-        """The pipeline a file of this ``MODE`` holds; ``head`` as for ``from_sections``."""
-        return cls.from_sections(*unpack(data, cls.MODE), *head)
-
-
-class _PipelineBase(_Pipeline):
-    """Shared ingest bookkeeping: ordinal assignment and the exact sum."""
+    A mode supplies its mapping (``_outputs``) and what its sketches do with
+    the outputs (``_take``), and its sketch sections (``_sketch_sections``
+    and ``_load_sketches``); the sum is the last section of every file.
+    """
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
         if not MIN_EPSILON <= epsilon < 1.0:
@@ -112,14 +108,32 @@ class _PipelineBase(_Pipeline):
         """Minimum distinct-output estimate for the sketch path: 3/epsilon^2."""
         return 3.0 * self.epsilon**-2
 
-    def _next_ordinals(self, n: int) -> np.ndarray:
-        """Ordinals of the next n elements; ``count`` advances only once they
-        are mapped, so a rejected batch is not counted. Ordinals are u64, so
-        a batch that would pass 2**64 - 1 is rejected whole."""
-        first = self.ordinal_base + self.count
+    def ingest(self, e: Element) -> None:
+        e = e if isinstance(e, Element) else Element(*e)
+        self.ingest_batch(np.array([hash_key(e.key)], dtype=np.uint64), np.array([e.value]))
+
+    def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
+        self._commit(*self._map(key64s, values))
+
+    def _map(self, key64s: np.ndarray, values: np.ndarray) -> tuple:
+        """The values and the mode's outputs of a batch at the next ordinals;
+        changes nothing, and raises on any value the mode rejects. Ordinals
+        are u64, so a batch that would pass 2**64 - 1 is rejected whole."""
+        values = np.asarray(values, dtype=np.float64)
+        first, n = self.ordinal_base + self.count, len(values)
         if first + n > 2**64:
             raise ElementValidationError(f"ordinal base {self.ordinal_base} plus {self.count + n} elements passes the last u64 ordinal")
-        return np.arange(first, first + n, dtype=np.uint64)
+        ordinals = np.arange(first, first + n, dtype=np.uint64)
+        return values, *self._outputs(np.asarray(key64s, dtype=np.uint64), values, ordinals)
+
+    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
+        """The full-range mapping's (outkey, draw) outputs, which full-range and combination pipelines take."""
+        return full_range_batch(key64s, values, MapperConfig(r=self.r, seed=self.seed), ordinals)
+
+    def _commit(self, values: np.ndarray, *outputs: np.ndarray) -> None:
+        self.count += len(values)
+        self._take(*outputs)
+        self.sum_counter.update_batch(values)
 
     def _merged(self, others, *fields: str):
         """A copy of this pipeline, once ``others`` match it, at the inputs'
@@ -139,14 +153,35 @@ class _PipelineBase(_Pipeline):
         out.sum_counter = self.sum_counter.merge(*(p.sum_counter for p in others))
         return out
 
-    def _cfg(self) -> MapperConfig:
-        return MapperConfig(r=self.r, seed=self.seed)
+    def _header(self, statistic: str) -> SketchFileHeader:
+        return SketchFileHeader(self.MODE, statistic, self.epsilon, self.r, self.k, self.seed, self.ordinal_base, self.count)
 
-    def _header(self, mode: str, statistic: str) -> SketchFileHeader:
-        return SketchFileHeader(mode, statistic, self.epsilon, self.r, self.k, self.seed, self.ordinal_base, self.count)
+    def _sections(self) -> list[bytes]:
+        return [*self._sketch_sections(), self.sum_counter.to_bytes()]
+
+    def _load(self, sections: list[bytes], count: int) -> None:
+        self.count = count
+        self._load_sketches(*sections[:-1])
+        self.sum_counter = SumCounter.from_bytes(sections[-1])
+
+    def to_bytes(self, statistic: str = "") -> bytes:
+        return pack(self._header(statistic), self._sections())
+
+    @classmethod
+    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], *head):
+        """The pipeline a file's header and sections hold; ``head`` is what
+        the constructor takes before r: t, a coefficient function or nothing."""
+        out = cls(*head, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
+        out._load(sections, h.count)
+        return out
+
+    @classmethod
+    def from_bytes(cls, data: bytes, *head):
+        """The pipeline a file of this ``MODE`` holds; ``head`` as for ``from_sections``."""
+        return cls.from_sections(*unpack(data, cls.MODE), *head)
 
 
-class PointPipeline(_PipelineBase):
+class PointPipeline(_Pipeline):
     """Distinct-count measurement of the transform at a fixed threshold t."""
 
     MODE = "point"
@@ -165,16 +200,14 @@ class PointPipeline(_PipelineBase):
             raise ValueError(f"soft cap scale T must be > 0, got {T}")
         return cls(1.0 / T, r, epsilon, k, seed, ordinal_base)
 
-    def _cfg(self) -> MapperConfig:
-        return MapperConfig(r=self.r, t=self.t, seed=self.seed)
+    ingest_batch = _Pipeline.ingest_batch
 
-    def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        ordinals = self._next_ordinals(len(values))
-        outkeys = point_outkeys_batch(key64s, values, self._cfg(), ordinals, self.k, self.counter.kth())
-        self.count += len(values)
+    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
+        cfg = MapperConfig(r=self.r, t=self.t, seed=self.seed)
+        return (point_outkeys_batch(key64s, values, cfg, ordinals, self.k, self.counter.kth()),)
+
+    def _take(self, outkeys: np.ndarray) -> None:
         self.counter.update_batch(outkeys)
-        self.sum_counter.update_batch(values)
 
     def merge(self, *others: "PointPipeline") -> "PointPipeline":
         """Pure merge; the result keeps the smallest ordinal base, so merge
@@ -191,17 +224,11 @@ class PointPipeline(_PipelineBase):
             return d / self.r
         return self.t * self.sum_counter.value()
 
-    def to_bytes(self, statistic: str = "") -> bytes:
-        return pack(self._header(self.MODE, statistic), [self.counter.to_bytes(), self.sum_counter.to_bytes()])
+    def _sketch_sections(self) -> list[bytes]:
+        return [self.counter.to_bytes()]
 
-    @classmethod
-    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], t: float) -> "PointPipeline":
-        entries, total = sections
-        out = cls(t, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
-        out.counter = DistinctCounter.from_bytes(entries, h.k, h.seed)
-        out.sum_counter = SumCounter.from_bytes(total)
-        out.count = h.count
-        return out
+    def _load_sketches(self, entries: bytes) -> None:
+        self.counter = DistinctCounter.from_bytes(entries, self.k, self.seed)
 
 
 def soft_cap_estimate(pipeline: PointPipeline, T: float) -> float:
@@ -213,7 +240,7 @@ def soft_cap_estimate(pipeline: PointPipeline, T: float) -> float:
     return T * pipeline.estimate()
 
 
-class CombinationPipeline(_PipelineBase):
+class CombinationPipeline(_Pipeline):
     """Max-distinct measurement of a nonnegative coefficient combination.
 
     Output elements carry raw draws; the smallest-draw outkeys are sidelined
@@ -247,23 +274,9 @@ class CombinationPipeline(_PipelineBase):
         self.sidelined_keys = np.empty(0, dtype=np.uint64)
         self.sidelined_draws = np.empty(0, dtype=np.float64)
 
-    def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
-        self._commit(*self._map(key64s, values))
+    ingest_batch = _Pipeline.ingest_batch
 
-    def _map(self, key64s: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The values and the (outkey, draw) outputs of a batch; changes
-        nothing, and raises on any value the pipeline rejects."""
-        values = np.asarray(values, dtype=np.float64)
-        ordinals = self._next_ordinals(len(values))
-        outkeys, ys = full_range_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
-        return values, outkeys, ys
-
-    def _commit(self, values: np.ndarray, outkeys: np.ndarray, ys: np.ndarray) -> None:
-        self.count += len(values)
-        self._absorb_batch(outkeys, ys)
-        self.sum_counter.update_batch(values)
-
-    def _absorb_batch(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
+    def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         """Sideline the ell smallest (draw, outkey) of the sidelined keys and
         the given distinct outkeys, each key at its smallest draw, and feed
         every other key to the max-distinct sketch at its draw's tail value."""
@@ -296,7 +309,7 @@ class CombinationPipeline(_PipelineBase):
         draws = np.concatenate([p.sidelined_draws for p in (self, *others)])
         order = np.argsort(draws)
         at = order[np.unique(keys[order], return_index=True)[1]]  # each key at its smallest draw
-        out._absorb_batch(keys[at], draws[at])
+        out._take(keys[at], draws[at])
         return out
 
     def tau(self) -> float:
@@ -315,31 +328,29 @@ class CombinationPipeline(_PipelineBase):
             fed.update_batch(self.sidelined_keys, np.full(len(self.sidelined_keys), v))
         return fed.estimate() / self.r + self.sum_counter.value() * float(self.a.head(tau))
 
-    def _sections(self) -> list[bytes]:
-        """The sidelined (outkey, draw) records, the max-distinct sketch and the sum."""
+    def _sketch_sections(self) -> list[bytes]:
+        """The sidelined (outkey, draw) records and the max-distinct sketch."""
         side = np.rec.fromarrays([self.sidelined_keys, self.sidelined_draws], dtype=ENTRY).tobytes()
-        return [side, self.max_sketch.to_bytes(), self.sum_counter.to_bytes()]
+        return [side, self.max_sketch.to_bytes()]
 
-    def _load(self, sections: list[bytes], count: int) -> None:
-        side, entries, total = sections
+    def _load_sketches(self, side: bytes, entries: bytes) -> None:
+        """A build or merge leaves distinct sidelined keys in (draw, outkey)
+        order: at most ell, ell whenever the max-distinct sketch holds an
+        entry, and at least one once an element is counted. Others raise ParseError."""
         rec = records(side, ENTRY)
         # sidelined draws lie where full-range ys do, in [0, inf)
-        self.sidelined_keys, self.sidelined_draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
+        keys, draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
         self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.k, self.seed)
-        self.sum_counter = SumCounter.from_bytes(total)
-        self.count = count
-
-    def to_bytes(self, statistic: str = "") -> bytes:
-        return pack(self._header(self.MODE, statistic), self._sections())
-
-    @classmethod
-    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], a: CoefficientFunction) -> "CombinationPipeline":
-        out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
-        out._load(sections, h.count)
-        return out
+        ordered = (draws[1:] > draws[:-1]) | ((draws[1:] == draws[:-1]) & (keys[1:] > keys[:-1]))
+        if not ordered.all() or len(np.unique(keys)) < len(keys):
+            raise ParseError("sidelined outkeys must be distinct and in (draw, outkey) order")
+        n = len(keys)
+        if n > self.ell or (n < self.ell and len(self.max_sketch)) or (n == 0 and self.count):
+            raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {len(self.max_sketch)} max-distinct entries and {self.count} elements")
+        self.sidelined_keys, self.sidelined_draws = keys, draws
 
 
-class FullRangePipeline(_PipelineBase):
+class FullRangePipeline(_Pipeline):
     """All-threshold measurement: one sketch answering every threshold and
     any nonnegative coefficient combination after the fact."""
 
@@ -349,13 +360,10 @@ class FullRangePipeline(_PipelineBase):
         super().__init__(r, epsilon, k, seed, ordinal_base)
         self.threshold_sketch = AllThresholdSketch(k, seed)
 
-    def ingest_batch(self, key64s: np.ndarray, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        ordinals = self._next_ordinals(len(values))
-        outkeys, ys = full_range_batch(np.asarray(key64s, dtype=np.uint64), values, self._cfg(), ordinals)
-        self.count += len(values)
+    ingest_batch = _Pipeline.ingest_batch
+
+    def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         self.threshold_sketch.update_batch(outkeys, ys)
-        self.sum_counter.update_batch(values)
 
     def merge(self, *others: "FullRangePipeline") -> "FullRangePipeline":
         out = self._merged(others)
@@ -408,17 +416,11 @@ class FullRangePipeline(_PipelineBase):
             total += float(np.dot(raw[start:] / self.r, seg))
         return total
 
-    def to_bytes(self, statistic: str = "") -> bytes:
-        return pack(self._header(self.MODE, statistic), [self.threshold_sketch.to_bytes(), self.sum_counter.to_bytes()])
+    def _sketch_sections(self) -> list[bytes]:
+        return [self.threshold_sketch.to_bytes()]
 
-    @classmethod
-    def from_sections(cls, h: SketchFileHeader, sections: list[bytes]) -> "FullRangePipeline":
-        entries, total = sections
-        out = cls(h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
-        out.threshold_sketch = AllThresholdSketch.from_bytes(entries, h.k, h.seed)
-        out.sum_counter = SumCounter.from_bytes(total)
-        out.count = h.count
-        return out
+    def _load_sketches(self, entries: bytes) -> None:
+        self.threshold_sketch = AllThresholdSketch.from_bytes(entries, self.k, self.seed)
 
 
 @dataclass(frozen=True)
@@ -507,15 +509,15 @@ class SignedCombinationPipeline(_Pipeline):
             eps_minus=self.minus.epsilon,
         )
 
-    def to_bytes(self, statistic: str = "") -> bytes:
-        """Both parts' sections under the positive part's header (the negative part's seed is derived)."""
-        return pack(self.plus._header(self.MODE, statistic), self.plus._sections() + self.minus._sections())
+    def _header(self, statistic: str) -> SketchFileHeader:
+        """The positive part's header (the negative part's seed is derived)."""
+        return replace(self.plus._header(statistic), mode=self.MODE)
 
-    @classmethod
-    def from_sections(cls, h: SketchFileHeader, sections: list[bytes], a: SignedCoefficientFunction) -> "SignedCombinationPipeline":
-        out = cls(a, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
-        out.plus._load(sections[:3], h.count)
-        out.minus._load(sections[3:], h.count)
-        if out.plus.sum_counter.exact() != out.minus.sum_counter.exact():
+    def _sections(self) -> list[bytes]:
+        return self.plus._sections() + self.minus._sections()
+
+    def _load(self, sections: list[bytes], count: int) -> None:
+        self.plus._load(sections[:3], count)
+        self.minus._load(sections[3:], count)
+        if self.plus.sum_counter.exact() != self.minus.sum_counter.exact():
             raise ParseError("the two parts of a signed file hold different sums")
-        return out

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from math import expm1, inf
+from math import inf
 
 import numpy as np
 
@@ -43,6 +43,12 @@ __all__ = [
 
 # Entries per step of a batch update of the distinct and max-distinct sketches.
 _CHUNK_ENTRIES = 1 << 16
+
+
+def _kth_estimate(k: int, kths: np.ndarray) -> np.ndarray:
+    """(k-1)/(1 - e^-kth): the bottom-k distinct-count estimate at each k-th
+    smallest rank, for the distinct counter and the all-threshold profile alike."""
+    return (k - 1) / -np.expm1(-kths)
 
 
 def _rank_cut(keys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
@@ -279,7 +285,7 @@ class DistinctCounter(_BottomK):
         n = len(self._entries)
         if n < self.k:
             return float(n)
-        return (self.k - 1) / -expm1(-float(self._ranks[-1]))
+        return float(_kth_estimate(self.k, self._ranks[-1:])[0])
 
     def to_bytes(self) -> bytes:
         return self._entries.astype(OUTKEY).tobytes()
@@ -383,7 +389,7 @@ class AllThresholdSketch(_BottomK):
         kths = np.full(len(y), inf)
         kths[self.k - 1 :] = self._ranks[::-1][: max(len(y) - self.k + 1, 0)]
         ests = np.arange(len(y) + 1.0)
-        ests[self.k :] = (self.k - 1) / -np.expm1(-kths[self.k - 1 :])
+        ests[self.k :] = _kth_estimate(self.k, kths[self.k - 1 :])
         if (y[1:] == y[:-1]).any():  # keep the last entry of each run of equal y
             at = np.flatnonzero(np.append(y[1:] != y[:-1], True))
             y, counts, kths, ests = y[at], counts[at], kths[at], ests[np.append(0, at + 1)]

@@ -166,8 +166,8 @@ def test_merged_count_past_the_last_u64_exits_3(capsys, tmp_path, toy_tsv):
     assert not (tmp_path / "m.fsk").exists()
 
 
-# (route, section, change): the first record of a section given a value, or a
-# section replaced; the files keep a valid CRC
+# (route, section, change): the first record of a section given a value, a
+# section replaced, or a section rewritten; the files keep a valid CRC
 UNBUILDABLE = [
     ("fullrange", 0, math.nan),
     ("fullrange", 0, -1.0),
@@ -182,6 +182,11 @@ UNBUILDABLE = [
     ("fullrange", 1, b"-5/1"),
     ("combination", 2, b"-5/1"),
     ("signed", 5, b"7/1"),
+    ("combination", 0, lambda side: side + side),
+    ("combination", 0, b""),
+    ("combination", 0, lambda side: records(side, ENTRY)[::-1].tobytes()),
+    ("combination", 0, lambda side: side[: ENTRY.itemsize]),
+    ("signed", 3, lambda side: records(side, ENTRY)[::-1].tobytes()),
 ]
 
 
@@ -190,7 +195,8 @@ UNBUILDABLE = [
     UNBUILDABLE,
     ids=["y-nan", "y-negative", "y-inf", "sidelined-nan", "sidelined-negative", "sidelined-inf", "max-distinct-zero",
          "max-distinct-nan", "max-distinct-inf", "point-sum-negative", "fullrange-sum-negative",
-         "combination-sum-negative", "signed-sums-differ"],
+         "combination-sum-negative", "signed-sums-differ", "sidelined-twice", "sidelined-empty", "sidelined-reversed",
+         "sidelined-first-only", "signed-minus-sidelined-reversed"],
 )
 def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, change):
     mode, stat = ROUTES[route]
@@ -201,6 +207,8 @@ def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, chang
     header, sections = read_sketch_file(str(path))
     if isinstance(change, bytes):
         sections[section] = change
+    elif callable(change):
+        sections[section] = change(sections[section])
     else:
         rec = records(sections[section], ENTRY).copy()
         rec["value"][0] = change

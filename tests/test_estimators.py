@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from capsketch import (
@@ -450,3 +452,36 @@ def test_pipeline_serialization_round_trips(toy_elements):
     back = FullRangePipeline.from_bytes(f.to_bytes())
     assert back.to_bytes() == f.to_bytes()
     assert back.estimate_at(1.0) == f.estimate_at(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    signed=st.booleans(),
+    epsilon=st.sampled_from([0.5, 0.7, 0.9]),
+    r=st.integers(1, 5),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_written_combination_file_reads_back(data, signed, epsilon, r, k, seed):
+    # shards built over random batch splits at consistent ordinal bases, and
+    # their one-call merge, pass the read checks and write the same bytes
+    # back; ell = ceil(3/epsilon^2) is at most 12, so the max-distinct sketch fills
+    if signed:
+        cls, a = SignedCombinationPipeline, cap1_approximation("three_point", **THREE_POINT_STABLE)
+    else:
+        cls, a = CombinationPipeline, inverse_transform("sqrt")
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.25, 1.0, 3.5, 40.0])), max_size=150))
+    k64 = np.array([hash_key(b"k%d" % key) for key, _ in rows], dtype=np.uint64)
+    vals = np.array([value for _, value in rows], dtype=np.float64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    shards = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        pipe = cls(a, r, epsilon, k, seed, ordinal_base=lo)
+        splits = sorted(data.draw(st.lists(st.integers(lo, hi), max_size=4)))
+        for b_lo, b_hi in zip([lo, *splits], [*splits, hi]):
+            pipe.ingest_batch(k64[b_lo:b_hi], vals[b_lo:b_hi])
+        shards.append(pipe)
+    for pipe in (*shards, shards[0].merge(*shards[1:])):
+        blob = pipe.to_bytes()
+        assert cls.from_bytes(blob, a).to_bytes() == blob

@@ -140,6 +140,20 @@ def test_all_threshold_staircase():
     assert abs(est2.mean() - 10_100.0) < 4 * se2
 
 
+def test_distinct_counter_and_profile_share_the_kth_estimate():
+    # the same outkeys in a distinct counter and, at y = 0, in an all-threshold
+    # sketch give the same bits: both estimate (k-1)/(1 - e^-kth) one way
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        k = int(rng.integers(1, 40))
+        okeys = rng.integers(0, 2**63, int(rng.integers(1, 4 * k + 2))).astype(np.uint64)
+        seed = int(rng.integers(0, 2**32))
+        dc, at = DistinctCounter(k, seed), AllThresholdSketch(k, seed)
+        dc.update_batch(okeys)
+        at.update_batch(okeys, np.zeros(len(okeys)))
+        assert dc.estimate() == at.estimate_at(0.0), (k, seed)
+
+
 def test_all_threshold_matches_brute_force():
     # independent re-implementation of the retention rule and estimator
     def brute(entries, k, seed, t):
