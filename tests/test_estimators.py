@@ -15,6 +15,7 @@ from capsketch import (
     FullRangePipeline,
     IncompatibleSketchError,
     MapperConfig,
+    ParseError,
     PointPipeline,
     SignedCombinationPipeline,
     StatisticSpec,
@@ -29,6 +30,7 @@ from capsketch import (
     THREE_POINT_STABLE,
 )
 from capsketch.oracle import exact_measurement
+from capsketch.sketchfile import unpack
 from reference import combination_batch
 
 
@@ -452,6 +454,18 @@ def test_pipeline_serialization_round_trips(toy_elements):
     back = FullRangePipeline.from_bytes(f.to_bytes())
     assert back.to_bytes() == f.to_bytes()
     assert back.estimate_at(1.0) == f.estimate_at(1.0)
+
+
+def test_counted_file_without_sidelined_keys_is_refused():
+    # too few elements to fill the max-distinct sketch, so only the element
+    # count shows that an empty sidelined section was never written
+    a = inverse_transform("sqrt")
+    pipe = CombinationPipeline(a, r=1, epsilon=0.5, k=8)
+    pipe.ingest(Element(b"x", 2.0))
+    header, sections = unpack(pipe.to_bytes(), "combination")
+    assert len(pipe.max_sketch) == 0 and header.count == 1
+    with pytest.raises(ParseError, match="sidelined"):
+        CombinationPipeline.from_sections(header, [b"", *sections[1:]], a)
 
 
 @settings(max_examples=60, deadline=None)
