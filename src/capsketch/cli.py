@@ -3,7 +3,9 @@ files, query estimates, evaluate the exact oracle, and run the benchmark.
 
 Input format is tab-separated ``key<TAB>value`` lines; the value column is
 optional and defaults to 1. Keys are raw bytes up to the first tab. Blank
-lines are skipped but counted in line numbers.
+lines are skipped but counted in line numbers. Input is read a block at a
+time and ingested CHUNK lines at a time; a chunk is split and converted in
+bulk, and parsed line by line only when that fails.
 
 Exit codes: 0 success, 2 parse error (a malformed line, sketch file or
 build, query or bench option) or a path that cannot be read or written, 3
@@ -16,7 +18,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from itertools import islice
 from math import ceil, inf
 from pathlib import Path
 
@@ -63,6 +64,8 @@ EXIT_UNSUPPORTED = 4
 # Non-blank input lines per ingested batch. A combination file depends on
 # where batches split, so changing this changes its bytes.
 CHUNK = 8192
+# Input bytes read at a time; a build holds about one block and one chunk of lines.
+BLOCK = 1 << 20
 
 
 def write_sketch_file(path: str, data: bytes) -> None:
@@ -100,30 +103,50 @@ def _parse_lines(raw: list[bytes], lineno: int) -> tuple[list[bytes], np.ndarray
     return keys, np.array(values)
 
 
+def _split_chunk(lines: list[bytes]) -> tuple[list[bytes], np.ndarray] | None:
+    """Keys and values of non-blank lines that all have no tab, or all exactly
+    one, split and converted in bulk; None if any line is not so or fails a check."""
+    joined = b"\n".join(lines)
+    if b"\t" not in joined:
+        return lines, np.ones(len(lines))
+    seps = np.frombuffer(joined, np.uint8)
+    seps = seps[(seps == 9) | (seps == 10)]  # one tab per line: tab, newline, ..., tab
+    if len(seps) != 2 * len(lines) - 1 or not np.all(seps[::2] == 9):
+        return None
+    fields = joined.replace(b"\n", b"\t").split(b"\t")
+    try:
+        values = np.array(list(map(float, fields[1::2])))
+    except ValueError:
+        return None
+    return (fields[::2], values) if all(fields[::2]) and np.all((values > 0.0) & (values < inf)) else None
+
+
 def _read_chunks(path: str):
-    """Keys and values of a TSV input, CHUNK non-blank lines at a time. A
-    chunk is split, converted and checked as a whole; one that fails is parsed
-    again line by line, which raises the ParseError of its first bad line or
-    accepts a mix of lines with and without a value column."""
+    """Keys and values of a TSV input read BLOCK bytes at a time, CHUNK
+    non-blank lines at a time. A chunk is split and converted as a whole; one
+    that fails is parsed again line by line, which raises the ParseError of its
+    first bad line or accepts a mix of lines with and without a value column."""
     with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
-        lineno = 1
+        lineno, carry, raw = 1, b"", []  # raw: the lines not yet yielded, blank ones included
         while True:
-            raw, lines = [], []  # blank lines are in raw, not in lines
-            while len(lines) < CHUNK and (more := list(islice(fh, CHUNK - len(lines)))):
-                raw += more
-                lines += [s for line in more if (s := line.rstrip(b"\r\n"))]
-            if not lines:
+            block = fh.read(BLOCK)
+            data = carry + block
+            lines = data.split(b"\n")
+            # a partial last line waits for the next block; at the end of input it is a line, if not empty
+            carry = lines.pop() if block or not data else b""
+            raw += [line.rstrip(b"\r") for line in lines] if b"\r" in data else lines
+            # where each chunk of CHUNK non-blank lines ends, and at the end of input the rest
+            ends = range(CHUNK, len(raw) + 1, CHUNK) if all(raw) else [i for i, s in enumerate(raw, 1) if s][CHUNK - 1 :: CHUNK]
+            start = 0
+            for end in [*ends, len(raw)] if not block else ends:
+                part = raw[start:end]
+                if chunk := part if all(part) else [s for s in part if s]:
+                    yield _split_chunk(chunk) or _parse_lines(part, lineno)
+                lineno += end - start
+                start = end
+            if not block:
                 return
-            # per-line tuples die at once, sparing the garbage collector; with no tab, a key is its line
-            keys = [line.partition(b"\t")[0] for line in lines]
-            try:
-                values = np.ones(len(keys)) if keys == lines else np.array([float(line.partition(b"\t")[2]) for line in lines])
-            except ValueError:
-                values = None
-            if values is None or not all(keys) or not np.all((values > 0.0) & (values < inf)):
-                keys, values = _parse_lines(raw, lineno)
-            yield keys, values
-            lineno += len(raw)
+            del raw[:start]
 
 
 def _key_hashes(keys) -> np.ndarray:
@@ -157,11 +180,6 @@ def _route(mode: str, spec: StatisticSpec):
     if mode == "fullrange":
         return FullRangePipeline, ()
     raise UnsupportedStatisticError(f"unknown mode {mode!r}")
-
-
-def _load_pipeline(header: SketchFileHeader, sections: list[bytes]):
-    cls, head = _route(header.mode, parse_statistic(header.statistic))
-    return cls.from_sections(header, sections, *head)
 
 
 def _emitted(pipeline) -> int:
@@ -206,7 +224,8 @@ def _cmd_merge(args) -> int:
             a, b = getattr(base_header, field), getattr(header, field)
             if a != b:
                 raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
-    first, *rest = (_load_pipeline(header, sections) for header, sections in files)
+    cls, head = _route(base_header.mode, parse_statistic(base_header.statistic))  # shared by every input
+    first, *rest = (cls.from_sections(header, sections, *head) for header, sections in files)
     merged = first.merge(*rest)
     write_sketch_file(args.output, merged.to_bytes(base_header.statistic))
     print(f"merged {len(args.inputs)} sketches")
@@ -246,7 +265,8 @@ def _cmd_estimate(args) -> int:
     if args.t is not None and not args.t >= 0.0:
         raise ParseError(f"--t must be >= 0, got {args.t}")
     header, sections = read_sketch_file(args.sketch)
-    pipeline = _load_pipeline(header, sections)
+    cls, head = _route(header.mode, parse_statistic(header.statistic))
+    pipeline = cls.from_sections(header, sections, *head)
     if header.mode != "fullrange" and (args.stat is not None or args.t is not None):
         raise UnsupportedStatisticError(f"{header.mode} sketches answer only their build statistic")
     if header.mode == "point":

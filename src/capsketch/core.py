@@ -135,9 +135,14 @@ def hash_key(key: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
 
 
+_B8 = hashlib.blake2b(digest_size=8)  # never updated: hash_keys updates copies of it
+
+
 def hash_keys(keys: Iterable[bytes]) -> np.ndarray:
-    """Vector form of :func:`hash_key`; returns a uint64 array."""
-    digests = b"".join([hashlib.blake2b(k, digest_size=8).digest() for k in keys])
+    """Vector form of :func:`hash_key`; returns a uint64 array. Copying one
+    prepared blake2b state per key gives the digest of a new hasher at about
+    two thirds of its cost."""
+    digests = b"".join([(h := _B8.copy()).update(k) or h.digest() for k in keys])  # update returns None
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
 
 

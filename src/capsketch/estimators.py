@@ -21,8 +21,9 @@ before either takes it.
 ``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one,
 given t or the coefficient function, and refuse with ``ParseError`` values no
 build writes: draws or values outside their sketch's domain, a negative sum,
-signed parts with different sums, or sidelined keys that are not the distinct,
-(draw, outkey)-ordered set a build or merge leaves.
+signed parts with different sums, sidelined keys that are not the distinct,
+(draw, outkey)-ordered set a build or merge leaves, or an element count that
+does not fit the sum and the number of entries.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import MIN_EPSILON, Element, ElementValidationError, IncompatibleSketchError, ParseError, hash_key
 from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
-from .sketchfile import ENTRY, SketchFileHeader, pack, records, unpack
+from .sketchfile import ENTRY, OUTKEY, SketchFileHeader, pack, records, unpack
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
 from .transforms import CoefficientFunction, SignedCoefficientFunction
 
@@ -160,9 +161,15 @@ class _Pipeline:
         return [*self._sketch_sections(), self.sum_counter.to_bytes()]
 
     def _load(self, sections: list[bytes], count: int) -> None:
+        """Every element adds to the sum and yields at most r outkeys, so a
+        file counting none holds no sum and no entry, and one counting some
+        holds a positive sum and at most count * r entries in each section."""
         self.count = count
         self._load_sketches(*sections[:-1])
         self.sum_counter = SumCounter.from_bytes(sections[-1])
+        entries = max(len(records(s, rec)) for s, rec in zip(sections, self.RECORDS))
+        if (count == 0) != (self.sum_counter.exact() == 0) or entries > count * self.r:
+            raise ParseError(f"a count of {count} elements with r={self.r}, a sum of {self.sum_counter.exact()} and {entries} entries in a section")
 
     def to_bytes(self, statistic: str = "") -> bytes:
         return pack(self._header(statistic), self._sections())
@@ -185,6 +192,7 @@ class PointPipeline(_Pipeline):
     """Distinct-count measurement of the transform at a fixed threshold t."""
 
     MODE = "point"
+    RECORDS = (OUTKEY,)  # of each sketch section
 
     def __init__(self, t: float, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
         super().__init__(r, epsilon, k, seed, ordinal_base)
@@ -252,6 +260,7 @@ class CombinationPipeline(_Pipeline):
     """
 
     MODE = "combination"
+    RECORDS = (ENTRY, ENTRY)
 
     def __init__(
         self,
@@ -356,6 +365,7 @@ class FullRangePipeline(_Pipeline):
     any nonnegative coefficient combination after the fact."""
 
     MODE = "fullrange"
+    RECORDS = (ENTRY,)
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
         super().__init__(r, epsilon, k, seed, ordinal_base)

@@ -155,6 +155,19 @@ def test_merge_of_eight_fullrange_shards_walks_once(capsys, tmp_path):
     assert merged.read_bytes() == full.read_bytes()
 
 
+def test_merge_builds_the_signed_function_once(capsys, tmp_path, toy_tsv):
+    # the inputs share mode and statistic, so one route serves them all
+    mode, stat = ROUTES["signed"]
+    shards = []
+    for base in (0, 13, 26):
+        shards.append(str(tmp_path / f"s{base}.fsk"))
+        argv = ["build", toy_tsv, "--mode", mode, "--stat", stat, "--r", "2", "--ordinal-base", str(base), "-o", shards[-1]]
+        assert run(capsys, *argv)[0] == 0
+    with mock.patch.object(cli, "_signed_function", wraps=cli._signed_function) as signed_function:
+        assert run(capsys, "merge", *shards, "-o", str(tmp_path / "m.fsk"))[0] == 0
+    assert signed_function.call_count == 1
+
+
 def test_merged_count_past_the_last_u64_exits_3(capsys, tmp_path, toy_tsv):
     fr = tmp_path / "fr.fsk"
     run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "fullrange", "--r", "5", "-o", str(fr))
@@ -218,6 +231,26 @@ def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, chang
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.fsk").exists()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_forged_element_count_exits_2(capsys, tmp_path, route, count):
+    # a count of 0 beside a sum and entries, or of 1 beside more than r = 3
+    # entries in a section; the file keeps a valid CRC
+    mode, stat = ROUTES[route]
+    tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(300)])
+    intact, forged, merged = (str(tmp_path / name) for name in ("intact.fsk", "forged.fsk", "m.fsk"))
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "--epsilon", "0.5", "-o", intact]
+    assert run(capsys, *argv)[0] == 0
+    header, sections = read_sketch_file(intact)
+    with open(forged, "wb") as fh:
+        fh.write(pack(dataclasses.replace(header, count=count), sections))
+    for argv in (["estimate", forged], ["merge", intact, forged, "-o", merged]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith("error: a count of ") and err.count("\n") == 1
     assert not (tmp_path / "m.fsk").exists()
 
 

@@ -6,7 +6,9 @@ reads 0 without failing when either is missing. A build in each mode, a merge
 and an estimate under the tracer must therefore give sketch spans with
 entries, and uninstalling must put every original back. A merge of three
 files must be one pipeline merge and one merge of each sketch it holds, so
-that the benchmark's merge times mean one merge per command.
+that the benchmark's merge times mean one merge per command. A build's
+``core.hash_keys`` spans must count each chunk's distinct keys, since the
+benchmark's keys/s is read from them.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from capsketch import cli
 from capsketch.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -88,3 +91,20 @@ def test_tracer_times_the_point_mapper_and_its_draws(tmp_path, tracing):
     mapper = [s for s in tracer.spans if s.name == "mappers.point_outkeys_batch"]
     assert mapper and all(s.counts["cells"] == 400 * 9 for s in mapper)
     assert any(s.name == "core.uniform_block" for s in tracer.spans)
+
+
+def test_tracer_counts_the_distinct_keys_each_chunk_hashes(tmp_path, monkeypatch, tracing):
+    # perfbench's core.hash_keys.keys_per_s divides these counts by the spans' time
+    keys = [b"k%d" % (i % (10 + i // 64)) for i in range(400)]  # 10 + j distinct keys in chunk j
+    tsv = tmp_path / "repeats.tsv"
+    tsv.write_bytes(b"".join(key + b"\t2\n" for key in keys))
+    monkeypatch.setattr(cli, "CHUNK", 64)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["build", str(tsv), "--mode", "point", "--stat", "softcapT=5", "--r", "1", "--k", "8"]
+        assert main([*argv, "-o", str(tmp_path / "p.fsk")]) == 0
+    finally:
+        tracer.uninstall()
+    counts = [s.counts["keys"] for s in tracer.spans if s.name == "core.hash_keys"]
+    assert counts == [len(set(keys[lo : lo + 64])) for lo in range(0, len(keys), 64)]
