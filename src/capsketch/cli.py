@@ -3,9 +3,9 @@ files, query estimates, evaluate the exact oracle, and run the benchmark.
 
 Input format is tab-separated ``key<TAB>value`` lines; the value column is
 optional and defaults to 1. Keys are raw bytes up to the first tab. Blank
-lines are skipped but counted in line numbers. Input is read a block at a
-time and ingested CHUNK lines at a time; a chunk is split and converted in
-bulk, and parsed line by line only when that fails.
+lines are skipped but counted in line numbers. Input is ingested CHUNK
+lines at a time; a chunk is split and converted in bulk, and parsed line by
+line only when that fails.
 
 Exit codes: 0 success, 2 parse error (a malformed line, sketch file or
 build, query or bench option) or a path that cannot be read or written, 3
@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from itertools import islice
 from math import ceil, inf
 from pathlib import Path
 
@@ -64,8 +65,6 @@ EXIT_UNSUPPORTED = 4
 # Non-blank input lines per ingested batch. A combination file depends on
 # where batches split, so changing this changes its bytes.
 CHUNK = 8192
-# Input bytes read at a time; a build holds about one block and one chunk of lines.
-BLOCK = 1 << 20
 
 
 def write_sketch_file(path: str, data: bytes) -> None:
@@ -122,31 +121,21 @@ def _split_chunk(lines: list[bytes]) -> tuple[list[bytes], np.ndarray] | None:
 
 
 def _read_chunks(path: str):
-    """Keys and values of a TSV input read BLOCK bytes at a time, CHUNK
-    non-blank lines at a time. A chunk is split and converted as a whole; one
-    that fails is parsed again line by line, which raises the ParseError of its
-    first bad line or accepts a mix of lines with and without a value column."""
+    """Keys and values of a TSV input, CHUNK non-blank lines at a time. A
+    chunk is split and converted as a whole; one that fails is parsed again
+    line by line, which raises the ParseError of its first bad line or accepts
+    a mix of lines with and without a value column."""
     with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
-        lineno, carry, raw = 1, b"", []  # raw: the lines not yet yielded, blank ones included
+        lineno = 1
         while True:
-            block = fh.read(BLOCK)
-            data = carry + block
-            lines = data.split(b"\n")
-            # a partial last line waits for the next block; at the end of input it is a line, if not empty
-            carry = lines.pop() if block or not data else b""
-            raw += [line.rstrip(b"\r") for line in lines] if b"\r" in data else lines
-            # where each chunk of CHUNK non-blank lines ends, and at the end of input the rest
-            ends = range(CHUNK, len(raw) + 1, CHUNK) if all(raw) else [i for i, s in enumerate(raw, 1) if s][CHUNK - 1 :: CHUNK]
-            start = 0
-            for end in [*ends, len(raw)] if not block else ends:
-                part = raw[start:end]
-                if chunk := part if all(part) else [s for s in part if s]:
-                    yield _split_chunk(chunk) or _parse_lines(part, lineno)
-                lineno += end - start
-                start = end
-            if not block:
+            raw, lines = [], []  # blank lines are in raw, not in lines
+            while len(lines) < CHUNK and (more := list(islice(fh, CHUNK - len(lines)))):
+                raw += more
+                lines += [s for line in more if (s := line.rstrip(b"\r\n"))]
+            if not lines:
                 return
-            del raw[:start]
+            yield _split_chunk(lines) or _parse_lines(raw, lineno)
+            lineno += len(raw)
 
 
 def _key_hashes(keys) -> np.ndarray:

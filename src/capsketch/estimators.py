@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import MIN_EPSILON, Element, ElementValidationError, IncompatibleSketchError, ParseError, hash_key
 from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
-from .sketchfile import ENTRY, OUTKEY, SketchFileHeader, pack, records, unpack
+from .sketchfile import ENTRY, SketchFileHeader, pack, records, unpack
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
 from .transforms import CoefficientFunction, SignedCoefficientFunction
 
@@ -89,8 +89,9 @@ class _Pipeline:
     one ingest path, and one way to write and read a file of its ``MODE``.
 
     A mode supplies its mapping (``_outputs``) and what its sketches do with
-    the outputs (``_take``), and its sketch sections (``_sketch_sections``
-    and ``_load_sketches``); the sum is the last section of every file.
+    the outputs (``_take``), and its sketch sections (``_sketch_sections``,
+    and ``_load_sketches``, which returns the most entries a loaded section
+    holds); the sum is the last section of every file.
     """
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
@@ -163,11 +164,10 @@ class _Pipeline:
     def _load(self, sections: list[bytes], count: int) -> None:
         """Every element adds to the sum and yields at most r outkeys, so a
         file counting none holds no sum and no entry, and one counting some
-        holds a positive sum and at most count * r entries in each section."""
+        holds a positive sum and at most count * r entries in each section as read."""
         self.count = count
-        self._load_sketches(*sections[:-1])
+        entries = self._load_sketches(*sections[:-1])
         self.sum_counter = SumCounter.from_bytes(sections[-1])
-        entries = max(len(records(s, rec)) for s, rec in zip(sections, self.RECORDS))
         if (count == 0) != (self.sum_counter.exact() == 0) or entries > count * self.r:
             raise ParseError(f"a count of {count} elements with r={self.r}, a sum of {self.sum_counter.exact()} and {entries} entries in a section")
 
@@ -192,7 +192,6 @@ class PointPipeline(_Pipeline):
     """Distinct-count measurement of the transform at a fixed threshold t."""
 
     MODE = "point"
-    RECORDS = (OUTKEY,)  # of each sketch section
 
     def __init__(self, t: float, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
         super().__init__(r, epsilon, k, seed, ordinal_base)
@@ -235,8 +234,9 @@ class PointPipeline(_Pipeline):
     def _sketch_sections(self) -> list[bytes]:
         return [self.counter.to_bytes()]
 
-    def _load_sketches(self, entries: bytes) -> None:
+    def _load_sketches(self, entries: bytes) -> int:
         self.counter = DistinctCounter.from_bytes(entries, self.k, self.seed)
+        return len(self.counter)
 
 
 def soft_cap_estimate(pipeline: PointPipeline, T: float) -> float:
@@ -260,7 +260,6 @@ class CombinationPipeline(_Pipeline):
     """
 
     MODE = "combination"
-    RECORDS = (ENTRY, ENTRY)
 
     def __init__(
         self,
@@ -342,7 +341,7 @@ class CombinationPipeline(_Pipeline):
         side = np.rec.fromarrays([self.sidelined_keys, self.sidelined_draws], dtype=ENTRY).tobytes()
         return [side, self.max_sketch.to_bytes()]
 
-    def _load_sketches(self, side: bytes, entries: bytes) -> None:
+    def _load_sketches(self, side: bytes, entries: bytes) -> int:
         """A build or merge leaves distinct sidelined keys in (draw, outkey)
         order: at most ell, ell whenever the max-distinct sketch holds an
         entry, and at least one once an element is counted. Others raise ParseError."""
@@ -358,6 +357,7 @@ class CombinationPipeline(_Pipeline):
         if n > self.ell or (n < self.ell and len(self.max_sketch)) or (n == 0 and self.count):
             raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {len(self.max_sketch)} max-distinct entries and {self.count} elements")
         self.sidelined_keys, self.sidelined_draws = keys, draws
+        return max(n, len(self.max_sketch))
 
 
 class FullRangePipeline(_Pipeline):
@@ -365,7 +365,6 @@ class FullRangePipeline(_Pipeline):
     any nonnegative coefficient combination after the fact."""
 
     MODE = "fullrange"
-    RECORDS = (ENTRY,)
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
         super().__init__(r, epsilon, k, seed, ordinal_base)
@@ -430,8 +429,9 @@ class FullRangePipeline(_Pipeline):
     def _sketch_sections(self) -> list[bytes]:
         return [self.threshold_sketch.to_bytes()]
 
-    def _load_sketches(self, entries: bytes) -> None:
+    def _load_sketches(self, entries: bytes) -> int:
         self.threshold_sketch = AllThresholdSketch.from_bytes(entries, self.k, self.seed)
+        return len(self.threshold_sketch)
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,30 @@ def test_forged_element_count_exits_2(capsys, tmp_path, route, count):
 
 
 @pytest.mark.parametrize(
+    "route,lines,count,changed",
+    [
+        ("point", 300, 0, {0: b""}),  # no entry, but a sum
+        ("point", 300, None, {1: b"0"}),  # a count, but no sum
+        ("combination", 4, 1, {}),  # 12 sidelined outkeys and no max-distinct entry
+    ],
+    ids=["count-0-beside-a-sum", "zero-sum-beside-a-count", "sidelined-past-count-r"],
+)
+def test_each_element_count_rule_refuses(capsys, tmp_path, route, lines, count, changed):
+    # each file breaks one rule of the three and keeps a valid CRC
+    mode, stat = ROUTES[route]
+    tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(lines)])
+    path = str(tmp_path / "x.fsk")
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "--epsilon", "0.5", "-o", path]
+    assert run(capsys, *argv)[0] == 0
+    header, sections = read_sketch_file(path)
+    sections = [changed.get(i, section) for i, section in enumerate(sections)]
+    with open(path, "wb") as fh:
+        fh.write(pack(header if count is None else dataclasses.replace(header, count=count), sections))
+    code, stdout, err = run(capsys, "estimate", path)
+    assert (code, stdout) == (2, "") and err.startswith("error: a count of ")
+
+
+@pytest.mark.parametrize(
     "argv,path",
     [
         (["build", "{d}/nope.tsv", "--stat", "softcapT=1", "-o", "{d}/x.fsk"], "{d}/nope.tsv"),

@@ -1,7 +1,7 @@
-"""The block reader of ``capsketch.cli`` against the line-at-a-time reference
-when lines, ``\\r\\n`` pairs and tabs straddle the blocks it reads: the same
-keys, key hashes and values, or the same first parse error, and chunks of
-exactly CHUNK elements, from a file and from stdin."""
+"""The bulk split of ``capsketch.cli`` against the line-at-a-time reference
+on chunks that mix lines of no, one and several tabs: the same keys, key
+hashes and values, or the same first parse error, and chunks of exactly
+CHUNK elements, from a file and from stdin."""
 
 import io
 import sys
@@ -10,7 +10,6 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capsketch import cli
 from test_reader import ENDINGS, LINES, read_new, read_reference
 
 # also lines of one to three numeric fields, so that a line with two tabs
@@ -23,19 +22,16 @@ NUMERIC = st.lists(st.sampled_from([b"1", b"2.5", b""]), min_size=1, max_size=3)
     lines=st.lists(st.tuples(st.one_of(LINES, NUMERIC), ENDINGS), max_size=25),
     last_ending=st.booleans(),
     chunk=st.integers(1, 6),
-    block=st.integers(1, 7),
     stdin=st.booleans(),
 )
-# a block ends between the \r and the \n of "a\r\n"
-@example(lines=[(b"a", b"\r\n"), (b"b", b"\n")], last_ending=True, chunk=1, block=2, stdin=False)
 # "1\t2" is a bad value, although the chunk holds two tabs in two lines
-@example(lines=[(b"a\t1\t2", b"\n"), (b"3", b"\n")], last_ending=True, chunk=2, block=7, stdin=True)
-def test_reader_matches_reference_across_blocks(tmp_path_factory, lines, last_ending, chunk, block, stdin):
+@example(lines=[(b"a\t1\t2", b"\n"), (b"3", b"\n")], last_ending=True, chunk=2, stdin=True)
+def test_bulk_split_matches_reference(tmp_path_factory, lines, last_ending, chunk, stdin):
     data = b"".join(line + end for line, end in lines)
     if lines and not last_ending:
         data = data[: -len(lines[-1][1])]
-    path = tmp_path_factory.getbasetemp() / "blocks.tsv"
+    path = tmp_path_factory.getbasetemp() / "bulk.tsv"
     path.write_bytes(data)
-    with mock.patch.object(cli, "BLOCK", block), mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
         got = read_new("-" if stdin else str(path), chunk)
     assert got == read_reference(str(path))
