@@ -80,6 +80,14 @@ def read_sketch_file(path: str) -> tuple[SketchFileHeader, list[bytes]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _load(path: str, header: SketchFileHeader, sections: list[bytes], cls, head):
+    """``cls.from_sections`` of the file read from ``path``; a ParseError names the path."""
+    try:
+        return cls.from_sections(header, sections, *head)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _parse_lines(raw: list[bytes], lineno: int) -> tuple[list[bytes], np.ndarray]:
     """Keys and values of raw lines numbered from ``lineno``, one at a time; raises the first bad line's ParseError."""
     keys, values = [], []
@@ -214,7 +222,7 @@ def _cmd_merge(args) -> int:
             if a != b:
                 raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
     cls, head = _route(base_header.mode, parse_statistic(base_header.statistic))  # shared by every input
-    first, *rest = (cls.from_sections(header, sections, *head) for header, sections in files)
+    first, *rest = (_load(path, header, sections, cls, head) for path, (header, sections) in zip(args.inputs, files))
     merged = first.merge(*rest)
     write_sketch_file(args.output, merged.to_bytes(base_header.statistic))
     print(f"merged {len(args.inputs)} sketches")
@@ -255,7 +263,7 @@ def _cmd_estimate(args) -> int:
         raise ParseError(f"--t must be >= 0, got {args.t}")
     header, sections = read_sketch_file(args.sketch)
     cls, head = _route(header.mode, parse_statistic(header.statistic))
-    pipeline = cls.from_sections(header, sections, *head)
+    pipeline = _load(args.sketch, header, sections, cls, head)
     if header.mode != "fullrange" and (args.stat is not None or args.t is not None):
         raise UnsupportedStatisticError(f"{header.mode} sketches answer only their build statistic")
     if header.mode == "point":

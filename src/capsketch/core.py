@@ -196,6 +196,11 @@ class RandomnessSource:
         broadcast against ``ordinals``, and each entry is the uniform of the
         (ordinal, replica) pair at its position, with the same bits.
         """
+        return _to_unit_np(self.hash_block(ordinals, r))
+
+    def hash_block(self, ordinals: np.ndarray, r: int | np.ndarray) -> np.ndarray:
+        """The 64-bit words whose top 53 bits :meth:`uniform_block` turns
+        into its uniforms, with its arguments and shape."""
         rows = np.asarray(ordinals, dtype=np.uint64)
         if np.ndim(r) == 0:
             rows, r = rows[:, None], np.arange(r, dtype=np.uint64)
@@ -204,7 +209,7 @@ class RandomnessSource:
             rows = rows * np.uint64(_GOLDEN)
             rows ^= np.uint64(self._chain)
             cols = np.asarray(r, dtype=np.uint64) * np.uint64(_GOLDEN2)
-        return _to_unit_np(_mix64_np(_mix64_np(rows), cols))
+        return _mix64_np(_mix64_np(rows), cols)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ them would. The full-range mapping emits one
 output per distinct (key, replica) of the call, carrying the smallest of that
 pair's draws: the threshold and max-distinct statistics of the output
 elements depend on each outkey's smallest draw only, so this keeps every
-statistic the sketches see. Both reject the same values.
+statistic the sketches see. Of rows that continue a key's run from an earlier
+chunk it draws only the cells that can lower that minimum, so the output is
+that of drawing every cell. Both reject the same values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MIN_EPSILON, ElementValidationError, RandomnessSource, base_ranks, outkey_block
+from .core import MIN_EPSILON, ElementValidationError, RandomnessSource, _to_unit_np, base_ranks, outkey_block
 
 __all__ = [
     "MapperConfig",
@@ -51,6 +53,8 @@ _WIDE_ROW = 64
 # A draw -ln(u)/value stays finite for every u the source yields (-ln(u) is
 # below 38) once value is at least this; smaller values are checked draw by draw.
 _MIN_SAFE_VALUE = 1e-300
+# _hash_floor's margin on -ln(u), against rounding errors below 1e-12 there.
+_MARGIN = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -82,21 +86,43 @@ def _checked(values) -> np.ndarray:
     return values
 
 
-def _draws(src: RandomnessSource, ordinals: np.ndarray, values: np.ndarray, r: int) -> np.ndarray:
-    """Exponential draws -ln(u)/value of every (element, replica), shape
-    (len(values), r); rejects a value so small that a draw overflows."""
-    # log(u)/-v is -ln(u)/v bit for bit, computed in place; overflow is
-    # checked below
-    y = src.uniform_block(ordinals, r)
-    np.log(y, out=y)
+def _exp_draws(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Exponential draws -ln(u)/value in place in ``u``, as log(u)/-value (the
+    same bits), ``values`` broadcast; rejects a value whose draw overflows."""
+    np.log(u, out=u)
     with np.errstate(over="ignore"):
-        y /= -values[:, None]
-    tiny = np.flatnonzero(values < _MIN_SAFE_VALUE)
-    bad = tiny[np.isinf(y[tiny]).any(axis=1)] if tiny.size else tiny
-    if bad.size:
-        value = float(values[bad[0]])
+        u /= -values
+    tiny = values < _MIN_SAFE_VALUE
+    if tiny.any() and (bad := np.isinf(u) & tiny).any():
+        value = float(np.broadcast_to(values, u.shape)[bad][0])
         raise ElementValidationError(f"element value {value!r} is too small: its exponential draws overflow")
-    return y
+    return u
+
+
+def _draws(src: RandomnessSource, ordinals: np.ndarray, values: np.ndarray, r: int) -> np.ndarray:
+    """Exponential draws of every (element, replica), shape (len(values), r)."""
+    return _exp_draws(src.uniform_block(ordinals, r), values[:, None])
+
+
+def _hash_floor(mins: np.ndarray, vmax: float) -> np.ndarray:
+    """Per replica i, a hash word below which no draw -ln(u)/v with v <= vmax
+    is below B = mins[i]; that needs u > exp(-B*vmax). The floor is that of
+    u = (1 - _MARGIN) * exp(-B*vmax): its -ln(u) exceeds B*vmax by _MARGIN,
+    far more than the rounding of the product, exp, log and the division. A
+    B*vmax above 53*ln(2), or one that overflows, lets every cell through."""
+    with np.errstate(over="ignore"):
+        u = np.exp(mins * -vmax)
+    return (u * ((1.0 - _MARGIN) * 2.0**53)).astype(np.uint64) << np.uint64(11)
+
+
+def _lower(src: RandomnessSource, mins: np.ndarray, ordinals: np.ndarray, values: np.ndarray) -> None:
+    """Lower ``mins``, one run's smallest draw per replica so far, by further
+    rows of the run, drawing only the cells :func:`_hash_floor` lets through:
+    all of them if a value is below _MIN_SAFE_VALUE, so an overflow is rejected."""
+    h = src.hash_block(ordinals, len(mins))
+    floor = _hash_floor(mins, values.max()) if values.min() >= _MIN_SAFE_VALUE else 0
+    rows, reps = np.divmod(np.flatnonzero(h >= floor), len(mins))  # faster than a 2-d nonzero
+    np.minimum.at(mins, reps, _exp_draws(_to_unit_np(h[rows, reps]), values[rows]))
 
 
 def _chunks(n: int, r: int) -> Iterable[tuple[int, int]]:
@@ -116,25 +142,31 @@ def _group(key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray):
 
 def _run_minima(src: RandomnessSource, ordinals: np.ndarray, values: np.ndarray, starts: np.ndarray, r: int) -> np.ndarray:
     """Smallest replica-i draw of each run of rows (runs begin at ``starts``),
-    shape (len(starts), r), drawn a chunk of rows at a time."""
-    # A run cut by a chunk boundary is folded into the same output row from
-    # both sides. A chunk whose runs are each one row is not reduced (reduceat
-    # costs far more than the draws it copies); see _WIDE_ROW for the others.
+    shape (len(starts), r), drawn a chunk of rows at a time. The rows of a run
+    begun in an earlier chunk draw only the cells that can lower its minima
+    (:func:`_lower`), so the minima are those of drawing every cell."""
+    # A chunk whose runs are each one row is not reduced (reduceat costs far
+    # more than the draws it copies); see _WIDE_ROW for the others.
     mins = np.full((len(starts), r), inf)
     for lo, hi in _chunks(len(values), r):
-        y = _draws(src, ordinals[lo:hi], values[lo:hi], r)
         g0 = int(np.searchsorted(starts, lo, side="right")) - 1
         g1 = int(np.searchsorted(starts, hi, side="left"))
-        cuts = np.concatenate(([lo], starts[g0 + 1 : g1], [hi])) - lo
+        cuts = np.concatenate(([lo], starts[g0 + 1 : g1], [hi]))
+        if starts[g0] < lo:  # run g0 continues from an earlier chunk
+            _lower(src, mins[g0], ordinals[lo : cuts[1]], values[lo : cuts[1]])
+            g0, cuts = g0 + 1, cuts[1:]
+            if g0 == g1:
+                continue
+        lo, cuts = cuts[0], cuts - cuts[0]
+        y = _draws(src, ordinals[lo:hi], values[lo:hi], r)
         runs = g1 - g0
         if runs < hi - lo and max(runs, _WIDE_ROW) <= r:
-            np.minimum(mins[g0], np.minimum.reduce(y[: cuts[1]], axis=0), out=mins[g0])
-            for g, a, b in zip(range(g0 + 1, g1), cuts[1:-1].tolist(), cuts[2:].tolist()):
-                np.minimum.reduce(y[a:b], axis=0, out=mins[g])  # a run that starts in this chunk
+            for g, a, b in zip(range(g0, g1), cuts[:-1].tolist(), cuts[1:].tolist()):
+                np.minimum.reduce(y[a:b], axis=0, out=mins[g])
             continue
         if runs < hi - lo:
             y = np.minimum.reduceat(y, cuts[:-1], axis=0)
-        np.minimum(mins[g0:g1], y, out=mins[g0:g1])
+        mins[g0:g1] = y
     return mins
 
 
@@ -159,10 +191,7 @@ def _fire_gathered(src, ordinals, values, starts, ends, r: int, t: float, cells:
     lens = ends[keys] - starts[keys]
     at = np.cumsum(lens) - lens
     rows = np.arange(int(lens.sum())) + np.repeat(starts[keys] - at, lens)
-    # the bits of _draws: log(u) / -v
-    y = src.uniform_block(ordinals[rows], np.repeat(cells % r, lens))
-    np.log(y, out=y)
-    y /= -values[rows]
+    y = _exp_draws(src.uniform_block(ordinals[rows], np.repeat(cells % r, lens)), values[rows])
     return np.logical_or.reduceat(y <= t, at), len(rows)
 
 

@@ -261,13 +261,13 @@ SUBNORMAL = 1e-320
 ONE_PART = 1e-308
 
 
-def _pipelines(ordinal_base=0, seed=0):
+def _pipelines(ordinal_base=0, seed=0, r=3):
     a = inverse_transform(parse_statistic("sqrt"))
     signed = _signed_function(parse_statistic("capT=5"))
     return [
-        FullRangePipeline(r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
-        CombinationPipeline(a, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
-        SignedCombinationPipeline(signed, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
+        FullRangePipeline(r=r, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
+        CombinationPipeline(a, r=r, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
+        SignedCombinationPipeline(signed, r=r, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
     ]
 
 
@@ -338,6 +338,25 @@ def test_rejected_values_leave_pipeline_unchanged(index, bad):
     assert pipeline.to_bytes() == before
     with pytest.raises(ElementValidationError):
         pipeline.ingest((b"b", bad))
+    assert pipeline.to_bytes() == before
+
+
+@pytest.mark.parametrize("bad", [SUBNORMAL, ONE_PART])
+@pytest.mark.parametrize("index", range(3))
+def test_overflow_in_a_pruned_chunk_is_rejected(index, bad):
+    # one key's 400 rows span four chunks at r=501, and the bad value sits in
+    # a chunk whose rows continue the run, where only cells that can lower
+    # its minima are drawn; ONE_PART's draws overflow only in cells that
+    # cannot, so its rows must be drawn in full
+    pipeline = _pipelines(r=501)[index]
+    pipeline.ingest(Element(b"a", 1.0))
+    before = pipeline.to_bytes()
+    vals = np.random.default_rng(index).uniform(0.25, 4.0, 400)
+    vals[300] = bad
+    k64 = np.full(400, hash_key(b"b"), dtype=np.uint64)
+    assert np.flatnonzero(mappers._group(k64, vals, np.arange(400))[1] == bad)[0] >= 2 * (mappers._CHUNK_CELLS // 501)
+    with pytest.raises(ElementValidationError, match=rf"^element value {bad!r} is too small: its exponential draws overflow$"):
+        pipeline.ingest_batch(k64, vals)
     assert pipeline.to_bytes() == before
 
 

@@ -250,7 +250,7 @@ def test_forged_element_count_exits_2(capsys, tmp_path, route, count):
     for argv in (["estimate", forged], ["merge", intact, forged, "-o", merged]):
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (2, ""), argv
-        assert err.startswith("error: a count of ") and err.count("\n") == 1
+        assert err.startswith(f"error: {forged}: a count of ") and err.count("\n") == 1
     assert not (tmp_path / "m.fsk").exists()
 
 
@@ -275,7 +275,7 @@ def test_each_element_count_rule_refuses(capsys, tmp_path, route, lines, count, 
     with open(path, "wb") as fh:
         fh.write(pack(header if count is None else dataclasses.replace(header, count=count), sections))
     code, stdout, err = run(capsys, "estimate", path)
-    assert (code, stdout) == (2, "") and err.startswith("error: a count of ")
+    assert (code, stdout) == (2, "") and err.startswith(f"error: {path}: a count of ")
 
 
 @pytest.mark.parametrize(

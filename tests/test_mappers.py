@@ -17,7 +17,8 @@ from capsketch import (
     laplace_c,
 )
 from capsketch import mappers
-from capsketch.mappers import _draws, _run_minima, full_range_batch, point_outkeys_batch
+from capsketch.core import _to_unit_np
+from capsketch.mappers import _draws, _exp_draws, _hash_floor, _run_minima, full_range_batch, point_outkeys_batch
 from capsketch.oracle import aggregate_ranks, exact_measurement
 from reference import combination_batch, map_combination, map_full_range, map_point
 
@@ -205,20 +206,46 @@ def runs_of_rows(draw):
     return r, n, sorted({0} | {c for c in cuts if c < n})
 
 
+def _values(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed % 2**32)
+    if kind == "wide":  # log-uniform over 1e-6 to 1e6
+        return 10.0 ** rng.uniform(-6.0, 6.0, n)
+    vals = rng.uniform(0.1, 5.0, n)
+    if kind == "tiny":  # below _MIN_SAFE_VALUE, yet no draw overflows
+        vals[::7] = 5e-301
+    return vals
+
+
+def _edge_cut(rows: int, n: int, into: int) -> list[int]:
+    """Run starts that put every chunk edge ``into`` rows inside a run."""
+    return [0, *range(rows + into, n, rows)]
+
+
 @settings(max_examples=120, deadline=None)
-@given(case=runs_of_rows(), chunk_cells=st.sampled_from([1, 61, 4096, 1 << 16]), seed=st.integers(0, 2**64 - 1))
-@example(case=(501, 300, [0]), chunk_cells=1 << 16, seed=1)  # one run over three chunks, run by run
-@example(case=(600, 109, [0, 50, 51, 52, 100]), chunk_cells=1 << 16, seed=2)  # a few runs in one chunk
-@example(case=(64, 1025, [0, 500, 1023]), chunk_cells=1 << 16, seed=3)  # the narrowest rows reduced run by run
-@example(case=(7, 9400, [0, 4000]), chunk_cells=1 << 16, seed=4)  # long runs of narrow rows: reduceat
-@example(case=(501, 131, list(range(131))), chunk_cells=1 << 16, seed=5)  # one row each: no reduction
-def test_run_minima_equals_each_runs_minimum(case, chunk_cells, seed):
-    """Every reduction route gives each run's smallest draw per replica, bit
-    for bit, also for runs cut by chunk edges."""
+@given(
+    case=runs_of_rows(),
+    chunk_cells=st.sampled_from([1, 61, 4096, 1 << 16]),
+    seed=st.integers(0, 2**64 - 1),
+    kind=st.sampled_from(["uniform", "wide", "tiny"]),
+)
+@example(case=(501, 300, [0]), chunk_cells=1 << 16, seed=1, kind="uniform")  # one run over three chunks, run by run
+@example(case=(600, 109, [0, 50, 51, 52, 100]), chunk_cells=1 << 16, seed=2, kind="uniform")  # a few runs in one chunk
+@example(case=(64, 1025, [0, 500, 1023]), chunk_cells=1 << 16, seed=3, kind="uniform")  # the narrowest rows reduced run by run
+@example(case=(7, 9400, [0, 4000]), chunk_cells=1 << 16, seed=4, kind="uniform")  # long runs of narrow rows: reduceat
+@example(case=(501, 131, list(range(131))), chunk_cells=1 << 16, seed=5, kind="uniform")  # one row each: no reduction
+@example(case=(501, 400, [0]), chunk_cells=1 << 16, seed=6, kind="wide")  # pruned chunks, values 1e-6 to 1e6
+@example(case=(501, 200, [0, 131]), chunk_cells=1 << 16, seed=7, kind="uniform")  # a continuing chunk of one row
+@example(case=(501, 400, [0, 300]), chunk_cells=1 << 16, seed=8, kind="tiny")  # continuing rows drawn in full
+@example(case=(7, 400, _edge_cut(8, 400, 3)), chunk_cells=61, seed=9, kind="wide")  # a run cut at every chunk edge
+@example(case=(501, 100, _edge_cut(8, 100, 1)), chunk_cells=4096, seed=10, kind="wide")  # ...continuing for one row
+@example(case=(50, 2000, _edge_cut(81, 2000, 40)), chunk_cells=4096, seed=11, kind="uniform")  # ...at r=50
+def test_run_minima_equals_each_runs_minimum(case, chunk_cells, seed, kind):
+    """Every reduction route, with and without pruning, gives each run's
+    smallest draw per replica, bit for bit, also for runs cut by chunk edges."""
     r, n, starts = case
     src = RandomnessSource(seed)
     ords = np.arange(n, dtype=np.uint64) + np.uint64(seed % 2**40)
-    vals = np.random.default_rng(seed % 2**32).uniform(0.1, 5.0, n)
+    vals = _values(kind, n, seed)
     starts = np.array(starts, dtype=np.intp)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mappers, "_CHUNK_CELLS", chunk_cells)
@@ -226,3 +253,45 @@ def test_run_minima_equals_each_runs_minimum(case, chunk_cells, seed):
     y = _draws(src, ords, vals, r)
     want = np.stack([y[a:b].min(axis=0) for a, b in zip(starts, np.append(starts[1:], n))])
     assert got.tobytes() == want.tobytes()
+
+
+def _skipped(src, mins, ords, vals):
+    """The cells the skip rule leaves undrawn, after checking that each one's
+    draw, as drawing every cell computes it, is at least its replica's minimum."""
+    skipped = src.hash_block(ords, len(mins)) < _hash_floor(mins, vals.max())
+    assert (_draws(src, ords, vals, len(mins)) >= mins)[skipped].all()
+    return skipped
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_skip_rule_at_its_edges(seed):
+    r, src, rng = 501, RandomnessSource(seed), np.random.default_rng(seed)
+    ords = np.arange(400, dtype=np.uint64) + np.uint64(1000 * seed)
+    early, late = ords[:100], ords[100:]
+    # values from 1e-6 to 1e6 (vmax/vmin = 1e12), minima from the first rows
+    wide = 10.0 ** rng.uniform(-6.0, 6.0, 400)
+    wide[[100, 101]] = 1e-6, 1e6
+    assert _skipped(src, _draws(src, early, wide[:100], r).min(axis=0), late, wide[100:]).mean() > 0.5
+    # subnormal minima, from values near the largest float
+    huge = rng.uniform(1e307, np.finfo(float).max, 400)
+    mins = _draws(src, early, huge[:100], r).min(axis=0)
+    assert (mins < np.finfo(float).tiny).all()
+    assert _skipped(src, mins, late, huge[100:]).mean() > 0.5
+    # subnormal B*vmax: nearly every cell is skipped
+    assert _skipped(src, np.full(r, 1e-315), late, np.ones(300)).mean() > 0.99
+    # B*vmax overflows: no cell is skipped
+    assert not _skipped(src, np.full(r, 1e10), late, np.full(300, 1e300)).any()
+
+
+def test_largest_skipped_words_draw_at_least_the_minimum():
+    # for minima and largest values over the whole float range, the hash
+    # words just below the floor, whose draws at vmax are the smallest any
+    # skipped cell can have, still draw at least the minimum
+    rng = np.random.default_rng(0)
+    mins = 10.0 ** rng.uniform(-323.0, 300.0, 200_000)
+    vmax = 10.0 ** rng.uniform(-300.0, 308.0, 200_000)
+    words = _hash_floor(mins, vmax) >> np.uint64(11)
+    for below in (1, 2, 1000):
+        some = words >= below
+        skipped = ((words[some] - np.uint64(below)) << np.uint64(11)) | np.uint64(2047)
+        assert (_exp_draws(_to_unit_np(skipped), vmax[some]) >= mins[some]).all()
