@@ -26,10 +26,9 @@ from .estimators import (
     SignedCombinationPipeline,
     SignedEstimate,
     signed_estimate,
-    soft_cap_estimate,
 )
 from .mappers import MapperConfig, choose_replication
-from .oracle import exact_measurement, exact_statistic, zipf_generate, zipf_ranks
+from .oracle import exact_measurement, exact_statistic, zipf_ranks
 from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
 from .transforms import (
     CappingTransform,
@@ -40,14 +39,11 @@ from .transforms import (
     THREE_POINT_TIGHT,
     cap1_approximation,
     capping_transform,
-    head_integral,
     inverse_transform,
     laplace_c,
     lift_cap1_to_f,
     parse_statistic,
     rho_estimate,
-    soft_cap,
-    tail_integral,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ from .transforms import (
     parse_statistic,
 )
 
-__all__ = ["main", "ParseError", "SketchFileHeader", "read_sketch_file", "write_sketch_file"]
+__all__ = ["main", "read_sketch_file", "write_sketch_file"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -47,7 +47,6 @@ __all__ = [
     "SignedCombinationPipeline",
     "SignedEstimate",
     "signed_estimate",
-    "soft_cap_estimate",
 ]
 
 # Seed perturbation for the negative-component pipeline of a signed estimate,
@@ -177,7 +176,11 @@ class _Pipeline:
     @classmethod
     def from_sections(cls, h: SketchFileHeader, sections: list[bytes], *head):
         """The pipeline a file's header and sections hold; ``head`` is what
-        the constructor takes before r: t, a coefficient function or nothing."""
+        the constructor takes before r: t, a coefficient function or nothing.
+        A header of a mode other than ``MODE`` raises ParseError, since its
+        sections are not this pipeline's."""
+        if h.mode != cls.MODE:
+            raise ParseError(f"a {h.mode} file cannot be read as a {cls.MODE} sketch (statistic {h.statistic!r})")
         out = cls(*head, h.r, h.epsilon, h.k, h.seed, h.ordinal_base)
         out._load(sections, h.count)
         return out
@@ -199,13 +202,6 @@ class PointPipeline(_Pipeline):
             raise ValueError(f"threshold t must be >= 0, got {t}")
         self.t = float(t)
         self.counter = DistinctCounter(k, seed)
-
-    @classmethod
-    def for_soft_cap(cls, T: float, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
-        """Pipeline measuring the smooth-capping statistic at scale T (t = 1/T)."""
-        if not T > 0.0:
-            raise ValueError(f"soft cap scale T must be > 0, got {T}")
-        return cls(1.0 / T, r, epsilon, k, seed, ordinal_base)
 
     ingest_batch = _Pipeline.ingest_batch
 
@@ -237,15 +233,6 @@ class PointPipeline(_Pipeline):
     def _load_sketches(self, entries: bytes) -> int:
         self.counter = DistinctCounter.from_bytes(entries, self.k, self.seed)
         return len(self.counter)
-
-
-def soft_cap_estimate(pipeline: PointPipeline, T: float) -> float:
-    """Smooth-capping statistic at scale T from a pipeline built at t = 1/T."""
-    if not T > 0.0:
-        raise ValueError(f"soft cap scale T must be > 0, got {T}")
-    if abs(pipeline.t * T - 1.0) > 1e-9:
-        raise ValueError(f"pipeline threshold {pipeline.t} does not match 1/T for T={T}")
-    return T * pipeline.estimate()
 
 
 class CombinationPipeline(_Pipeline):

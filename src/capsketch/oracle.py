@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Element, FrequencyDistribution
+from .core import FrequencyDistribution
 from .transforms import StatisticSpec
 
 __all__ = [
     "exact_statistic",
     "exact_measurement",
     "zipf_ranks",
-    "zipf_generate",
     "aggregate_ranks",
 ]
 
@@ -26,25 +25,14 @@ def exact_statistic(dist: FrequencyDistribution, spec: StatisticSpec) -> float:
     return float(np.dot(cs, np.asarray(spec.evaluate(ws), dtype=np.float64)))
 
 
-def _as_arrays(outputs) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(outputs, tuple) and len(outputs) == 2:
-        keys, vals = outputs
-        return np.asarray(keys, dtype=np.uint64), np.asarray(vals, dtype=np.float64)
-    keys, vals = [], []
-    for o in outputs:
-        keys.append(o.outkey)
-        vals.append(0.0 if o.value is None else o.value)
-    return np.asarray(keys, dtype=np.uint64), np.asarray(vals, dtype=np.float64)
-
-
-def exact_measurement(outputs, mode: str, t: float | None = None) -> float:
-    """Exact output statistic over materialized output elements.
+def exact_measurement(outputs: tuple[np.ndarray, np.ndarray], mode: str, t: float | None = None) -> float:
+    """Exact output statistic over materialized output elements, given as an
+    (outkeys, values) array pair.
 
     ``distinct`` counts distinct outkeys, ``max_distinct`` sums the per-outkey
     maximum value, ``threshold`` counts distinct outkeys having a value <= t.
-    Accepts an iterable of output elements or an (outkeys, values) array pair.
     """
-    keys, vals = _as_arrays(outputs)
+    keys, vals = np.asarray(outputs[0], dtype=np.uint64), np.asarray(outputs[1], dtype=np.float64)
     if keys.size == 0:
         return 0.0
     if mode == "distinct":
@@ -77,13 +65,6 @@ def zipf_ranks(n_elements: int, alpha: float, n_keys: int = 1_000_000, seed: int
     rng = np.random.default_rng(seed)
     u = rng.random(int(n_elements)) * cum[-1]
     return np.searchsorted(cum, u, side="right").astype(np.int64) + 1
-
-
-def zipf_generate(
-    n_elements: int, alpha: float, n_keys: int = 1_000_000, seed: int = 0
-) -> list[Element]:
-    """Element stream with Zipf-distributed keys, all values 1."""
-    return [Element(b"%d" % r, 1.0) for r in zipf_ranks(n_elements, alpha, n_keys, seed)]
 
 
 def aggregate_ranks(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, FrequencyDistribution]:

@@ -35,19 +35,15 @@ from .core import IllPosedTransformError, UnsupportedStatisticError
 __all__ = [
     "StatisticSpec",
     "parse_statistic",
-    "soft_cap",
     "laplace_c",
     "CoefficientFunction",
     "SignedCoefficientFunction",
     "CappingTransform",
     "inverse_transform",
-    "tail_integral",
-    "head_integral",
     "capping_transform",
     "cap1_approximation",
     "lift_cap1_to_f",
     "rho_estimate",
-    "signed_lapm",
     "relative_error_to",
     "THREE_POINT_TIGHT",
     "THREE_POINT_STABLE",
@@ -143,13 +139,6 @@ def _positive(s: str, what: str) -> float:
 
 # ---------------------------------------------------------------------------
 # basic statistics of a frequency distribution
-
-
-def soft_cap(T: float, w):
-    """Smooth capping T(1 - exp(-w/T)); sandwiched between (1-1/e)min(T,w) and min(T,w)."""
-    if not T > 0.0:
-        raise ValueError(f"soft cap scale T must be > 0, got {T}")
-    return StatisticSpec("softcap", {"T": T}).evaluate(w)
 
 
 def laplace_c(dist, t):
@@ -448,23 +437,6 @@ class CoefficientFunction:
         return out if out.ndim else float(out)
 
 
-def tail_integral(a: CoefficientFunction, tau: float, allow_infinite: bool = False):
-    """int_tau^inf a(t) dt; rejects a divergent value unless the caller opts in."""
-    if np.ndim(tau) == 0 and tau < 0.0:
-        raise ValueError("tail integral cutoff must be >= 0")
-    out = a.tail(tau)
-    if not allow_infinite and np.any(np.isinf(out)):
-        raise ValueError("tail integral diverges at tau=0 for this coefficient function")
-    return out
-
-
-def head_integral(a: CoefficientFunction, tau: float):
-    """int_0^tau t a(t) dt."""
-    if np.ndim(tau) == 0 and tau < 0.0:
-        raise ValueError("head integral cutoff must be >= 0")
-    return a.head(tau)
-
-
 def inverse_transform(spec: StatisticSpec | str) -> CoefficientFunction:
     """Coefficient function a(t) with f(w) = int a(t)(1 - exp(-wt)) dt.
 
@@ -526,7 +498,7 @@ def capping_transform(spec: StatisticSpec | str) -> CappingTransform:
     n = spec.name
     if n == "cap":
         return CappingTransform(0.0, CoefficientFunction(deltas=((spec.params["T"], 1.0),)))
-    if n in ("identity", "sum"):
+    if n == "sum":
         return CappingTransform(1.0, CoefficientFunction())
     if n == "clipped_moment":
         p = spec.params["p"]
@@ -566,12 +538,8 @@ class SignedCoefficientFunction:
         return self.plus.is_discrete and self.minus.is_discrete
 
     def lapm(self, w):
-        return signed_lapm(self, w)
-
-
-def signed_lapm(a: SignedCoefficientFunction, w):
-    """LapM of the signed coefficient function: plus side minus minus side."""
-    return a.plus.lapm(w) - a.minus.lapm(w)
+        """LapM of the plus side minus LapM of the minus side."""
+        return self.plus.lapm(w) - self.minus.lapm(w)
 
 
 def rho_estimate(a: SignedCoefficientFunction, w_grid) -> float:
@@ -602,7 +570,7 @@ def relative_error_to(a: SignedCoefficientFunction, f: Callable, w_grid) -> floa
     """max over the grid of |LapM[a](w) - f(w)| / f(w)."""
     grid = np.asarray(w_grid, dtype=np.float64)
     target = np.asarray(f(grid), dtype=np.float64)
-    approx = np.asarray(signed_lapm(a, grid), dtype=np.float64)
+    approx = np.asarray(a.lapm(grid), dtype=np.float64)
     return float(np.max(np.abs(approx - target) / target))
 
 

@@ -297,7 +297,7 @@ def test_batch_rejects_values_elements_reject(bad):
 
 
 def _all_pipelines(ordinal_base=0, seed=0):
-    point = PointPipeline.for_soft_cap(5.0, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base)
+    point = PointPipeline(1 / 5.0, r=3, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base)
     return [point, *_pipelines(ordinal_base, seed)]
 
 

@@ -44,7 +44,7 @@ def test_build_estimate_round_trip(tmp_path, toy_tsv, toy_elements):
                  "--epsilon", "0.3", "--r", "5", "--k", "64", "--seed", "9", "-o", str(out)])
     assert code == 0
     # in-process twin
-    pipe = PointPipeline.for_soft_cap(2.0, r=5, epsilon=0.3, k=64, seed=9)
+    pipe = PointPipeline(1 / 2.0, r=5, epsilon=0.3, k=64, seed=9)
     for e in toy_elements:
         pipe.ingest(e)
     header, sections = read_sketch_file(str(out))
@@ -78,7 +78,7 @@ def test_estimate_matches_in_process(capsys, tmp_path, toy_tsv, toy_elements, T)
         "--epsilon", "0.3", "--r", "5", "--k", "64", "--seed", "9", "-o", str(out))
     code, stdout, _ = run(capsys, "estimate", str(out))
     assert code == 0
-    pipe = PointPipeline.for_soft_cap(T, r=5, epsilon=0.3, k=64, seed=9)
+    pipe = PointPipeline(1 / T, r=5, epsilon=0.3, k=64, seed=9)
     for e in toy_elements:
         pipe.ingest(e)
     assert first_number(stdout, "estimate") == pytest.approx(T * pipe.estimate(), rel=1e-9)
@@ -251,6 +251,25 @@ def test_forged_element_count_exits_2(capsys, tmp_path, route, count):
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (2, ""), argv
         assert err.startswith(f"error: {forged}: a count of ") and err.count("\n") == 1
+    assert not (tmp_path / "m.fsk").exists()
+
+
+@pytest.mark.parametrize("route,statistic", [("combination", "capT=5"), ("signed", "sqrt")])
+def test_statistic_of_another_mode_exits_2(capsys, tmp_path, route, statistic):
+    # a combination file whose statistic routes to the signed pipeline, and
+    # the reverse; the file keeps a valid CRC
+    mode, stat = ROUTES[route]
+    tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(300)])
+    path = str(tmp_path / "x.fsk")
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "--epsilon", "0.5", "-o", path]
+    assert run(capsys, *argv)[0] == 0
+    header, sections = read_sketch_file(path)
+    with open(path, "wb") as fh:
+        fh.write(pack(dataclasses.replace(header, statistic=statistic), sections))
+    for argv in (["estimate", path], ["merge", path, path, "-o", str(tmp_path / "m.fsk")]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "m.fsk").exists()
 
 

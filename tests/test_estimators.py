@@ -26,7 +26,6 @@ from capsketch import (
     laplace_c,
     lift_cap1_to_f,
     signed_estimate,
-    soft_cap_estimate,
     THREE_POINT_STABLE,
 )
 from capsketch.oracle import exact_measurement
@@ -135,25 +134,21 @@ def test_merge_of_shards_at_one_ordinal_base_is_unbiased():
 
 def test_soft_cap_estimate_wiring(toy_dist, toy_elements):
     T = 2.0
-    p = PointPipeline.for_soft_cap(T, r=80, epsilon=0.3, k=5000, seed=4)
+    p = PointPipeline(1 / T, r=80, epsilon=0.3, k=5000, seed=4)
     k64, vals = _hash_elements(toy_elements)
     p.ingest_batch(k64, vals)
-    est = soft_cap_estimate(p, T)
-    assert est == T * p.estimate()
     truth = T * laplace_c(toy_dist, 1 / T)
-    assert est == pytest.approx(truth, rel=0.15)
-    with pytest.raises(ValueError):
-        soft_cap_estimate(p, 3.0)
+    assert T * p.estimate() == pytest.approx(truth, rel=0.15)
 
 
 def test_soft_cap_huge_scale_returns_sum(toy_elements):
     # T so large that 1/T is far below the relevant range: the fallback
     # returns t * SUM and the statistic is T * t * SUM = SUM
     T = float(2**40)
-    p = PointPipeline.for_soft_cap(T, r=1, epsilon=0.1, k=64, seed=0)
+    p = PointPipeline(1 / T, r=1, epsilon=0.1, k=64, seed=0)
     for e in toy_elements:
         p.ingest(e)
-    assert soft_cap_estimate(p, T) == 30.0
+    assert T * p.estimate() == 30.0
 
 
 # ---------------------------------------------------------------------------

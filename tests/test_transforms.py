@@ -16,14 +16,11 @@ from capsketch import (
     UnsupportedStatisticError,
     cap1_approximation,
     capping_transform,
-    head_integral,
     inverse_transform,
     laplace_c,
     lift_cap1_to_f,
     parse_statistic,
     rho_estimate,
-    soft_cap,
-    tail_integral,
 )
 from capsketch.transforms import (
     CAP1_ERROR_GRID,
@@ -36,7 +33,6 @@ from capsketch.transforms import (
     ReciprocalExpDensity,
     SignedCoefficientFunction,
     relative_error_to,
-    signed_lapm,
 )
 
 from conftest import toy_laplace
@@ -86,18 +82,16 @@ def test_laplace_c_limit_regimes(toy_dist, eps):
 
 
 def test_soft_cap_values():
-    assert soft_cap(1.0, 0.0) == 0.0
-    assert soft_cap(1.0, 1.0) == pytest.approx(1 - 1 / math.e, rel=1e-12)
-    with pytest.raises(ValueError):
-        soft_cap(0.0, 1.0)
-    with pytest.raises(ValueError):
-        soft_cap(-1.0, 1.0)
+    soft = StatisticSpec("softcap", {"T": 1.0})
+    assert soft.evaluate(0.0) == 0.0
+    assert soft.evaluate(1.0) == pytest.approx(1 - 1 / math.e, rel=1e-12)
 
 
 def test_soft_cap_sandwich():
+    soft = StatisticSpec("softcap", {"T": 1.0})
     for w in [0.01, 0.1, 1.0, 10.0, 100.0]:
         lo = (1 - 1 / math.e) * min(1.0, w)
-        assert lo <= soft_cap(1.0, w) <= min(1.0, w)
+        assert lo <= soft.evaluate(w) <= min(1.0, w)
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +138,24 @@ def test_inverse_transform_rejects():
 
 def test_tail_integral_examples():
     soft = inverse_transform(StatisticSpec("softcap", {"T": 2.0}))
-    assert tail_integral(soft, 0.4) == 2.0  # delta at 1/T = 0.5 >= 0.4
-    assert tail_integral(soft, 0.5) == 2.0  # inclusive at the location
-    assert tail_integral(soft, 0.6) == 0.0
+    assert soft.tail(0.4) == 2.0  # delta at 1/T = 0.5 >= 0.4
+    assert soft.tail(0.5) == 2.0  # inclusive at the location
+    assert soft.tail(0.6) == 0.0
     sqrt_a = inverse_transform("sqrt")
-    assert tail_integral(sqrt_a, 1 / math.pi) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        tail_integral(sqrt_a, 0.0)
-    assert tail_integral(sqrt_a, 0.0, allow_infinite=True) == math.inf
-    with pytest.raises(ValueError):
-        tail_integral(sqrt_a, -1.0)
+    assert sqrt_a.tail(1 / math.pi) == pytest.approx(1.0, rel=1e-12)
+    assert sqrt_a.tail(0.0) == math.inf
 
 
 def test_head_integral_examples():
     log_a = inverse_transform("log1p")
-    assert head_integral(log_a, 0.0) == 0.0
-    assert head_integral(log_a, 1e-12) == pytest.approx(1e-12, rel=1e-6)
-    assert head_integral(log_a, 1.0) == pytest.approx(1 - 1 / math.e, rel=1e-12)
+    assert log_a.head(0.0) == 0.0
+    assert log_a.head(1e-12) == pytest.approx(1e-12, rel=1e-6)
+    assert log_a.head(1.0) == pytest.approx(1 - 1 / math.e, rel=1e-12)
     sqrt_a = inverse_transform("sqrt")
-    assert head_integral(sqrt_a, math.pi) == pytest.approx(1.0, rel=1e-12)
+    assert sqrt_a.head(math.pi) == pytest.approx(1.0, rel=1e-12)
     soft = inverse_transform(StatisticSpec("softcap", {"T": 2.0}))
-    assert head_integral(soft, 0.4) == 0.0
-    assert head_integral(soft, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert soft.head(0.4) == 0.0
+    assert soft.head(0.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_log1p_tail_is_exponential_integral():
@@ -174,8 +164,8 @@ def test_log1p_tail_is_exponential_integral():
     log_a = inverse_transform("log1p")
     for tau in [0.1, 0.7, 3.0]:
         quad_val, _ = integrate.quad(lambda t: math.exp(-t) / t, tau, np.inf, limit=200)
-        assert tail_integral(log_a, tau) == pytest.approx(quad_val, rel=1e-8)
-        assert tail_integral(log_a, tau) == pytest.approx(special.exp1(tau), rel=1e-12)
+        assert log_a.tail(tau) == pytest.approx(quad_val, rel=1e-8)
+        assert log_a.tail(tau) == pytest.approx(special.exp1(tau), rel=1e-12)
 
 
 def test_log1p_tail_matches_scipy_exponential_integral():
@@ -183,7 +173,7 @@ def test_log1p_tail_matches_scipy_exponential_integral():
     tau = np.logspace(-300, np.log10(700), 4001)
     tail = inverse_transform("log1p").tail(tau)
     np.testing.assert_allclose(tail, special.exp1(tau), rtol=1e-14, atol=0)
-    assert tail_integral(inverse_transform("log1p"), 0.0, allow_infinite=True) == math.inf
+    assert inverse_transform("log1p").tail(0.0) == math.inf
 
 
 _FAMILIES = [
@@ -375,8 +365,8 @@ def test_lift_continuous_capping_transform():
     ct = capping_transform(StatisticSpec("softcap", {"T": 1.0}))
     lifted = lift_cap1_to_f(ct, tp)
     grid = np.logspace(-3, 3, 25)
-    approx = signed_lapm(lifted, grid)
-    target = soft_cap(1.0, grid)
+    approx = lifted.lapm(grid)
+    target = StatisticSpec("softcap", {"T": 1.0}).evaluate(grid)
     assert np.max(np.abs(approx - target) / target) <= 0.115 + 1e-6
     assert lifted.rho_bound <= tp.rho_bound + 1e-9
 
