@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
+import stat
 import sys
 from itertools import islice
 from math import ceil, inf
@@ -68,7 +70,16 @@ CHUNK = 8192
 
 
 def write_sketch_file(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
+    """Write ``data`` over the file at ``path`` in place, then cut a regular
+    file's old tail (``/dev/null`` and pipes cannot be cut). Truncating to zero
+    first would make ext4 (``auto_da_alloc``) flush the file on close. A write
+    that stops partway leaves a mix or a stale tail, which reads refuse by the
+    CRC32 or the body length, as they refuse a truncated file. No ``fsync``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def read_sketch_file(path: str) -> tuple[SketchFileHeader, list[bytes]]:

@@ -71,6 +71,11 @@ def _rank_cut(keys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
     return np.ones(len(ranks), dtype=bool)
 
 
+def _ascending(okeys: np.ndarray, ranks: np.ndarray) -> bool:
+    """Whether the entries are in strictly ascending (rank, outkey) order."""
+    return bool(((ranks[1:] > ranks[:-1]) | ((ranks[1:] == ranks[:-1]) & (okeys[1:] > okeys[:-1]))).all())
+
+
 def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> np.ndarray:
     """Indices of the entries a max-distinct sketch of size k retains, in
     (base/m, outkey) order.
@@ -78,8 +83,14 @@ def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> n
     An outkey may repeat: it counts once, at its largest value m. Of those
     keys the k smallest (base/m, outkey) are kept. A distinct counter is the
     case m = 1.
+
+    A stored sketch, at most k distinct outkeys in strictly ascending (base/m,
+    outkey) order, is that answer as it stands. An outkey stored at two values
+    has two ranks, so ascending order alone does not make outkeys distinct.
     """
     ranks = bases / ms
+    if len(okeys) <= k and _ascending(okeys, ranks) and np.diff(np.sort(okeys)).all():
+        return np.arange(len(okeys))
     idx = np.flatnonzero(_rank_cut(okeys, ranks, k))
     # each key once, at its largest value: first in (key, -value) order
     idx = idx[np.lexsort((-ms[idx], okeys[idx]))]
@@ -90,9 +101,10 @@ def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> n
     return idx[np.lexsort((okeys[idx], ranks[idx]))][:k]
 
 
-def _retained_order(okeys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray | None:
+def _retained_order(okeys: np.ndarray, ranks: np.ndarray, k: int, by_rank: np.ndarray | None = None) -> np.ndarray | None:
     """The (rank, outkey) order of entries given in walk order if a walk of
-    size k retains every one, else None.
+    size k retains every one, else None. A caller that knows that order over
+    distinct outkeys passes it as ``by_rank``, sparing the sorts that find it.
 
     It does exactly when the outkeys are distinct and each entry j >= k lies
     below D_(j-k), where D_0 > D_1 > ... are the entries' (rank, outkey) in
@@ -104,10 +116,11 @@ def _retained_order(okeys: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray 
     # to a fresh batch of n entries, which fails it with probability about 1 - k/n
     if len(okeys) > k and ranks[:k].max() < ranks.max():
         return None
-    distinct = np.sort(okeys)
-    if (distinct[1:] == distinct[:-1]).any():
-        return None
-    by_rank = np.lexsort((okeys, ranks))
+    if by_rank is None:
+        distinct = np.sort(okeys)
+        if (distinct[1:] == distinct[:-1]).any():
+            return None
+        by_rank = np.lexsort((okeys, ranks))
     d = by_rank[::-1][: max(len(okeys) - k, 0)]  # D_0 ... D_(n-k-1)
     r, o, rd, od = ranks[k:], okeys[k:], ranks[d], okeys[d]
     return by_rank if ((r < rd) | ((r == rd) & (o < od))).all() else None
@@ -157,14 +170,20 @@ def _prefix_bottom_k(okeys: np.ndarray, ys: np.ndarray, ranks: np.ndarray, k: in
     Entries are walked in (y, rank, outkey) order, and an outkey's first
     entry has its smallest y. An input that is already retained, as every
     stored sketch is, is recognised in vector operations; any other goes
-    through :func:`_walk_kept`.
+    through :func:`_walk_kept`. Strictly ascending (rank, outkey) input, as
+    stored, has distinct outkeys (the rank is a function of the outkey) and the
+    inverse of the walk order as its rank order.
     """
     order = np.argsort(ys)
     s_ys = ys[order]
     if (s_ys[1:] == s_ys[:-1]).any():  # tied values: order them by (rank, outkey)
         order = np.lexsort((okeys, ranks, ys))
     s_okeys, s_ranks = okeys[order], ranks[order]
-    by_rank = _retained_order(s_okeys, s_ranks, k)
+    by_rank = None
+    if _ascending(okeys, ranks):
+        by_rank = np.empty_like(order)
+        by_rank[order] = np.arange(len(order))
+    by_rank = _retained_order(s_okeys, s_ranks, k, by_rank)
     if by_rank is None:
         order = order[_walk_kept(s_okeys, s_ranks, k)]
         by_rank = np.lexsort((okeys[order], ranks[order]))

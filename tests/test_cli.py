@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 from unittest import mock
 
 import pytest
@@ -316,6 +317,58 @@ def test_unusable_path_exits_2(capsys, tmp_path, toy_tsv, argv, path):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path.format(**fill) in err
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_writes_over_a_longer_file_leave_the_fresh_bytes(capsys, tmp_path, toy_tsv, route):
+    # a file is overwritten in place and its old tail then cut: a build and a
+    # merge over a longer file leave exactly the bytes they write to a new path
+    mode, stat = ROUTES[route]
+    built = str(tmp_path / "built.fsk")
+    commands = (["build", toy_tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8"], ["merge", built, built])
+    for argv in commands:
+        fresh, stale = tmp_path / "fresh.fsk", tmp_path / "stale.fsk"
+        fresh.unlink(missing_ok=True)
+        stale.write_bytes(b"\xab" * 100_000)
+        assert run(capsys, *argv, "-o", str(fresh))[0] == 0
+        assert run(capsys, *argv, "-o", str(stale))[0] == 0
+        assert 0 < len(fresh.read_bytes()) < 100_000
+        assert stale.read_bytes() == fresh.read_bytes(), argv[0]
+        if argv[0] == "build":
+            fresh.rename(built)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_output_to_dev_null_exits_0(capsys, tmp_path, toy_tsv):
+    # /dev/null cannot be truncated; only a regular file is cut
+    shard = str(tmp_path / "s.fsk")
+    assert run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--r", "3", "-o", shard)[0] == 0
+    for argv in (["build", toy_tsv, "--stat", "softcapT=1", "--r", "3"], ["merge", shard, shard]):
+        code, _, err = run(capsys, *argv, "-o", "/dev/null")
+        assert (code, err) == (0, ""), argv[0]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_write_stopped_partway_exits_2(capsys, tmp_path, toy_tsv, route):
+    # a write over a longer file that stops partway leaves the new bytes over
+    # the old file's, cut short or not: the old tail after the whole new file,
+    # or the old file's second half after the new file's first; reads refuse
+    # both, by the body length or the CRC32, as they refuse a truncated file
+    mode, stat = ROUTES[route]
+    big = write_tsv(tmp_path / "big.tsv", [b"k%d\t%d" % (i, 1 + i % 3) for i in range(300)])
+    old, new = tmp_path / "old.fsk", tmp_path / "new.fsk"
+    for tsv, out in ((big, old), (toy_tsv, new)):
+        assert run(capsys, "build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "-o", str(out))[0] == 0
+    old, new = old.read_bytes(), new.read_bytes()
+    assert len(old) > len(new)
+    path, merged = tmp_path / "x.fsk", tmp_path / "m.fsk"
+    for cut in (len(new), len(new) // 2):
+        path.write_bytes(new[:cut] + old[cut:])
+        for argv in (["estimate", str(path)], ["merge", str(path), "-o", str(merged)]):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (2, ""), argv
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not merged.exists()
 
 
 def test_merge_associative_bytes(capsys, tmp_path, toy_tsv, toy_elements):

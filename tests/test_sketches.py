@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from capsketch import (
     AllThresholdSketch,
+    CombinationPipeline,
     DistinctCounter,
     IncompatibleSketchError,
     MaxDistinctSketch,
@@ -15,7 +16,9 @@ from capsketch import (
     SumCounter,
     sketches,
 )
-from capsketch.sketchfile import ENTRY, records
+from capsketch.core import base_ranks
+from capsketch.sketchfile import ENTRY, OUTKEY, pack, records, unpack
+from capsketch.transforms import inverse_transform, parse_statistic
 from reference import base_rank as _base_rank
 from reference import bottom_k_of_maxima, prefix_bottom_k, sketch_blob, threshold_profile
 
@@ -550,11 +553,92 @@ def test_stored_sketch_loads_without_the_walk():
     a.update_batch(keys[:10_000], ys[:10_000])
     b.update_batch(keys[10_000:], ys[10_000:])
     assert len(a) > 2 * a.k
-    with _walk_spy() as walk_kept:
+    # nor the distinctness sort and the lexsort: a stored section is in
+    # (rank, outkey) order, the inverse of its walk order
+    sort = mock.patch.object(np, "sort", wraps=np.sort)
+    lexsort = mock.patch.object(np, "lexsort", wraps=np.lexsort)
+    with _walk_spy() as walk_kept, sort as sort, lexsort as lexsort:
         back = AllThresholdSketch.from_bytes(a.to_bytes(), 50, 3)
-        assert walk_kept.call_count == 0
+        assert walk_kept.call_count == sort.call_count == lexsort.call_count == 0
+        # the same retained set in another order: the spies see the sorts
+        AllThresholdSketch.from_bytes(records(a.to_bytes(), ENTRY)[::-1].tobytes(), 50, 3)
+        assert walk_kept.call_count == 0 and sort.call_count > 0 and lexsort.call_count > 0
         a.merge(b)  # different shards still walk: the spy sees the loop
         assert walk_kept.call_count == 1
     assert back.to_bytes() == a.to_bytes()
     for got, want in zip(back._profile, a._profile):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [DistinctCounter, MaxDistinctSketch])
+def test_stored_bottom_k_sketch_loads_without_the_rank_cut(kind):
+    # a stored distinct-counter or max-distinct section is already what the
+    # retention rule returns, so reading it never runs the rank cut; a silent
+    # fallback would pass every byte test
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 2**63, 5_000).astype(np.uint64)
+    sk = kind(50, 3)
+    if kind is DistinctCounter:
+        sk.update_batch(keys)
+    else:
+        sk.update_batch(keys, rng.uniform(0.25, 4.0, 5_000))
+    assert len(sk) == sk.k
+    stored = records(sk.to_bytes(), OUTKEY if kind is DistinctCounter else ENTRY)
+    with mock.patch.object(sketches, "_rank_cut", wraps=sketches._rank_cut) as rank_cut:
+        back = kind.from_bytes(stored.tobytes(), 50, 3)
+        assert rank_cut.call_count == 0
+        reversed_back = kind.from_bytes(stored[::-1].tobytes(), 50, 3)
+        assert rank_cut.call_count == 1  # another order: the spy sees the general path
+    assert back.to_bytes() == reversed_back.to_bytes() == sk.to_bytes()
+
+
+def test_max_distinct_read_keeps_a_repeated_outkey_once():
+    # outkey 5 stored at two values has two ranks, so its records can stand in
+    # strictly ascending (rank, outkey) order; a read keeps it once, at its
+    # larger value, directly and inside a combination file
+    seed = next(s for s in range(100) if _base_rank(5, s) < _base_rank(9, s) / 1.5)
+    pairs = [(5, 2.0), (5, 1.0), (9, 1.5)]
+    assert np.all(np.diff([_base_rank(o, seed) / v for o, v in pairs]) > 0)
+    assert bottom_k_of_maxima(pairs, 3, seed) == [(5, 2.0), (9, 1.5)]
+    want = sketch_blob([(5, 2.0), (9, 1.5)], "<Qd")
+    assert MaxDistinctSketch.from_bytes(sketch_blob(pairs, "<Qd"), 3, seed).to_bytes() == want
+    a = inverse_transform(parse_statistic("sqrt"))
+    pipe = CombinationPipeline(a, r=3, epsilon=0.5, k=8, seed=seed)
+    pipe.ingest_batch(np.arange(300, dtype=np.uint64) % 50, np.arange(300) % 3 + 1.0)
+    header, sections = unpack(pipe.to_bytes("sqrt"))
+    sections[1] = sketch_blob(pairs, "<Qd")
+    assert CombinationPipeline.from_bytes(pack(header, sections), a).max_sketch.to_bytes() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries=definition_entries, k=st.integers(1, 8), seed=st.integers(0, 2**32), other=st.sampled_from([0.5, 2.0]), data=st.data())
+def test_reads_equal_the_general_retention_path(entries, k, seed, other, data):
+    # a stored sketch's records, a permutation of them, and them with one
+    # outkey repeated at another value, put in (rank, outkey) order, each read
+    # as the general retention path (no order taken as given) reads them
+    keys = np.array([o for o, _ in entries], dtype=np.uint64)
+    ys = np.array([y for _, y in entries], dtype=np.float64)
+    kinds = [
+        (DistinctCounter(k, seed), lambda sk: sk.update_batch(keys), None),
+        (MaxDistinctSketch(k, seed), lambda sk: sk.update_batch(keys, ys + 0.25), lambda v: v * other),
+        (AllThresholdSketch(k, seed), lambda sk: sk.update_batch(keys, ys), lambda v: v + other),
+    ]
+    for sk, feed, another in kinds:
+        feed(sk)
+        stored = records(sk.to_bytes(), OUTKEY if another is None else ENTRY)
+        reads = [stored, stored[data.draw(st.permutations(range(len(stored))))]]
+        if len(stored):
+            i = data.draw(st.integers(0, len(stored) - 1))
+            repeat = stored[i : i + 1].copy()
+            if another is not None:
+                repeat["value"] = another(repeat["value"])
+            rec = np.concatenate([stored, repeat])
+            okeys = rec if another is None else rec["outkey"]
+            ranks = base_ranks(okeys, seed) / (rec["value"] if isinstance(sk, MaxDistinctSketch) else 1.0)
+            reads.append(rec[np.lexsort((okeys, ranks))])
+        for rec in reads:
+            got = type(sk).from_bytes(rec.tobytes(), k, seed)
+            with mock.patch.object(sketches, "_ascending", return_value=False):
+                want = type(sk).from_bytes(rec.tobytes(), k, seed)
+            assert got.to_bytes() == want.to_bytes()
+            assert got._ranks.tobytes() == want._ranks.tobytes()
