@@ -191,10 +191,9 @@ def _route(mode: str, spec: StatisticSpec):
 
 
 def _emitted(pipeline) -> int:
-    """Output elements of a non-point build, which emits every draw."""
-    if isinstance(pipeline, SignedCombinationPipeline):
-        return pipeline.plus.count * pipeline.plus.r + pipeline.minus.count * pipeline.minus.r
-    return pipeline.count * pipeline.r
+    """Output elements of a non-point build, which emits every draw: r per
+    element for each measured part (a full-range pipeline measures once)."""
+    return pipeline.count * pipeline.r * len(getattr(pipeline, "parts", [pipeline]))
 
 
 def _cmd_build(args) -> int:
@@ -253,14 +252,8 @@ def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: 
         print(f"estimate: {pipeline.estimate_combination(inverse_transform(spec)):.10g}")
     elif name in ("cap", "cap1approx"):
         signed = _signed_function(spec)
-        est = signed_estimate(
-            pipeline.estimate_combination(signed.plus),
-            pipeline.estimate_combination(signed.minus),
-            signed,
-            eps_plus=epsilon,
-            eps_minus=epsilon,
-        )
-        _print_signed(est)
+        plus, minus = (pipeline.estimate_combination(part) for part in (signed.plus, signed.minus))
+        _print_signed(signed_estimate(plus, minus, signed, epsilon))
     elif name == "distinct":
         print(f"estimate: {pipeline.estimate_at(float('inf')):.10g}")
     elif name == "sum":

@@ -15,8 +15,10 @@ of any sizes leave point and full-range pipelines byte-identical, and
 combination pipelines with the same sidelined keys and estimate. Every mode
 rejects the same values (not positive and finite, or so small that a draw
 overflows) before it changes any state, so a rejected call leaves the
-pipeline as it was; a signed pipeline maps a batch for both its parts
-before either takes it.
+pipeline as it was. A combination pipeline holds its measurement as a list
+of parts under one count and one sum: one part, or for a signed pipeline two
+(the positive and the negative part, under independent seeds), and each
+part maps a batch before any part takes it.
 
 ``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one,
 given t or the coefficient function, and refuse with ``ParseError`` values no
@@ -29,7 +31,7 @@ does not fit the sum and the number of entries.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, inf
 
 import numpy as np
@@ -127,10 +129,6 @@ class _Pipeline:
         ordinals = np.arange(first, first + n, dtype=np.uint64)
         return values, *self._outputs(np.asarray(key64s, dtype=np.uint64), values, ordinals)
 
-    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
-        """The full-range mapping's (outkey, draw) outputs, which full-range and combination pipelines take."""
-        return full_range_batch(key64s, values, MapperConfig(r=self.r, seed=self.seed), ordinals)
-
     def _commit(self, values: np.ndarray, *outputs: np.ndarray) -> None:
         self.count += len(values)
         self._take(*outputs)
@@ -165,8 +163,8 @@ class _Pipeline:
         file counting none holds no sum and no entry, and one counting some
         holds a positive sum and at most count * r entries in each section as read."""
         self.count = count
-        entries = self._load_sketches(*sections[:-1])
         self.sum_counter = SumCounter.from_bytes(sections[-1])
+        entries = self._load_sketches(*sections[:-1])
         if (count == 0) != (self.sum_counter.exact() == 0) or entries > count * self.r:
             raise ParseError(f"a count of {count} elements with r={self.r}, a sum of {self.sum_counter.exact()} and {entries} entries in a section")
 
@@ -188,7 +186,7 @@ class _Pipeline:
     @classmethod
     def from_bytes(cls, data: bytes, *head):
         """The pipeline a file of this ``MODE`` holds; ``head`` as for ``from_sections``."""
-        return cls.from_sections(*unpack(data, cls.MODE), *head)
+        return cls.from_sections(*unpack(data), *head)
 
 
 class PointPipeline(_Pipeline):
@@ -235,43 +233,31 @@ class PointPipeline(_Pipeline):
         return len(self.counter)
 
 
-class CombinationPipeline(_Pipeline):
-    """Max-distinct measurement of a nonnegative coefficient combination.
+class _Part:
+    """One combination measurement: its coefficient function and seed, its
+    sidelined keys and draws, and its max-distinct sketch. The pipeline that
+    holds it keeps the count, the ordinals and the sum.
 
     Output elements carry raw draws; the smallest-draw outkeys are sidelined
-    (up to ceil(3/epsilon^2) of them) so the integration cutoff can be chosen
-    adaptively at estimation time. Evicted keys enter the max-distinct sketch
-    valued at the tail integral of their own recorded draw; at estimation the
-    sidelined keys are fed at the tail integral of the cutoff and the head of
-    the coefficient function is covered by the exact sum.
+    (up to ell = ceil(3/epsilon^2) of them) so the integration cutoff can be
+    chosen adaptively at estimation time. Evicted keys enter the max-distinct
+    sketch valued at the tail integral of their own recorded draw; at
+    estimation the sidelined keys are fed at the tail integral of the cutoff
+    and the head of the coefficient function is covered by the exact sum.
     """
 
-    MODE = "combination"
-
-    def __init__(
-        self,
-        a: CoefficientFunction,
-        r: int,
-        epsilon: float,
-        k: int,
-        seed: int = 0,
-        ordinal_base: int = 0,
-    ):
-        super().__init__(r, epsilon, k, seed, ordinal_base)
+    def __init__(self, a: CoefficientFunction, ell: int, k: int, seed: int):
         if not isinstance(a, CoefficientFunction):
             raise TypeError("combination pipelines need a CoefficientFunction")
         if float(a.head(1.0)) == inf:
             raise ValueError("coefficient function must have a finite head integral")
-        self.a = a
-        self.ell = ceil(3.0 * self.epsilon**-2)
+        self.a, self.ell, self.seed = a, ell, seed
         self.max_sketch = MaxDistinctSketch(k, seed)
         # the sidelined outkeys and their draws, in (draw, outkey) order
         self.sidelined_keys = np.empty(0, dtype=np.uint64)
         self.sidelined_draws = np.empty(0, dtype=np.float64)
 
-    ingest_batch = _Pipeline.ingest_batch
-
-    def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
+    def take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         """Sideline the ell smallest (draw, outkey) of the sidelined keys and
         the given distinct outkeys, each key at its smallest draw, and feed
         every other key to the max-distinct sketch at its draw's tail value."""
@@ -294,26 +280,27 @@ class CombinationPipeline(_Pipeline):
         if keep.any():
             self.max_sketch.update_batch(keys[rest][keep], vals[keep])
 
-    def merge(self, *others: "CombinationPipeline") -> "CombinationPipeline":
+    def merge(self, *others: "_Part") -> "_Part":
         """Pure merge: the max-distinct sketches merged, then the union of the
-        sidelined keys, each at its smallest draw, absorbed once; the result
+        sidelined keys, each at its smallest draw, taken once; the result
         does not depend on the order of the inputs."""
-        out = self._merged(others, "a")
+        out = copy.copy(self)
         out.max_sketch = self.max_sketch.merge(*(p.max_sketch for p in others))
         keys = np.concatenate([p.sidelined_keys for p in (self, *others)])
         draws = np.concatenate([p.sidelined_draws for p in (self, *others)])
         order = np.argsort(draws)
         at = order[np.unique(keys[order], return_index=True)[1]]  # each key at its smallest draw
-        out._take(keys[at], draws[at])
+        out.take(keys[at], draws[at])
         return out
 
     def tau(self) -> float:
         """Current adaptive cutoff: the largest sidelined draw."""
         return float(self.sidelined_draws.max()) if self.sidelined_draws.size else 0.0
 
-    def estimate(self) -> float:
-        """Finalize without mutating: sideline keys are fed at the cutoff's
-        tail value into a copy of the sketch, the head is covered by the sum."""
+    def estimate(self, r: int, total: float) -> float:
+        """Finalize without mutating, at r replicas and the exact sum
+        ``total``: sideline keys are fed at the cutoff's tail value into a
+        copy of the sketch, the head is covered by the sum."""
         if self.sidelined_keys.size == 0:
             return 0.0
         tau = self.tau()
@@ -321,30 +308,87 @@ class CombinationPipeline(_Pipeline):
         v = float(self.a.tail(tau))
         if v > 0.0:
             fed.update_batch(self.sidelined_keys, np.full(len(self.sidelined_keys), v))
-        return fed.estimate() / self.r + self.sum_counter.value() * float(self.a.head(tau))
+        return fed.estimate() / r + total * float(self.a.head(tau))
 
-    def _sketch_sections(self) -> list[bytes]:
+    def sections(self) -> list[bytes]:
         """The sidelined (outkey, draw) records and the max-distinct sketch."""
         side = np.rec.fromarrays([self.sidelined_keys, self.sidelined_draws], dtype=ENTRY).tobytes()
         return [side, self.max_sketch.to_bytes()]
 
-    def _load_sketches(self, side: bytes, entries: bytes) -> int:
-        """A build or merge leaves distinct sidelined keys in (draw, outkey)
-        order: at most ell, ell whenever the max-distinct sketch holds an
-        entry, and at least one once an element is counted. Others raise ParseError."""
+    def load(self, side: bytes, entries: bytes, count: int) -> int:
+        """A build or merge of ``count`` elements leaves distinct sidelined
+        keys in (draw, outkey) order: at most ell, ell whenever the
+        max-distinct sketch holds an entry, and at least one once an element
+        is counted. Others raise ParseError. Returns the most entries a
+        loaded section holds."""
         rec = records(side, ENTRY)
         # sidelined draws lie where full-range ys do, in [0, inf)
         keys, draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
-        self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.k, self.seed)
+        self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.max_sketch.k, self.seed)
         ordered = (draws[1:] > draws[:-1]) | ((draws[1:] == draws[:-1]) & (keys[1:] > keys[:-1]))
         by_key = np.sort(keys)  # sorted neighbours: about a fifth of np.unique's time at 300 keys
         if not ordered.all() or (by_key[1:] == by_key[:-1]).any():
             raise ParseError("sidelined outkeys must be distinct and in (draw, outkey) order")
         n = len(keys)
-        if n > self.ell or (n < self.ell and len(self.max_sketch)) or (n == 0 and self.count):
-            raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {len(self.max_sketch)} max-distinct entries and {self.count} elements")
+        if n > self.ell or (n < self.ell and len(self.max_sketch)) or (n == 0 and count):
+            raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {len(self.max_sketch)} max-distinct entries and {count} elements")
         self.sidelined_keys, self.sidelined_draws = keys, draws
         return max(n, len(self.max_sketch))
+
+
+class CombinationPipeline(_Pipeline):
+    """Max-distinct measurement of a nonnegative coefficient combination.
+
+    The measurement is held as a list of measured parts (``parts``, see
+    ``_Part``), here one; the pipeline keeps the one count, ordinal base and
+    sum they share. Each part maps a batch under its own seed before any part
+    takes it. A file holds each part's two sections, each followed by the sum.
+    """
+
+    MODE = "combination"
+
+    def __init__(self, a, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
+        super().__init__(r, epsilon, k, seed, ordinal_base)
+        self.a = a
+        ell = ceil(3.0 * self.epsilon**-2)
+        self.parts = [_Part(f, ell, self.k, s) for f, s in self._measured(a, self.seed)]
+
+    @staticmethod
+    def _measured(a: CoefficientFunction, seed: int) -> list[tuple]:
+        """The coefficient function and seed of each measured part."""
+        return [(a, seed)]
+
+    ingest_batch = _Pipeline.ingest_batch
+
+    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
+        """Each part's full-range (outkey, draw) outputs, under its own seed."""
+        return tuple(full_range_batch(key64s, values, MapperConfig(r=self.r, seed=p.seed), ordinals) for p in self.parts)
+
+    def _take(self, *outputs: tuple) -> None:
+        for part, (outkeys, ys) in zip(self.parts, outputs):
+            part.take(outkeys, ys)
+
+    def merge(self, *others: "CombinationPipeline") -> "CombinationPipeline":
+        """Pure merge of each part, and of the count and the sum once."""
+        out = self._merged(others, "a")
+        out.parts = [part.merge(*rest) for part, *rest in zip(self.parts, *(p.parts for p in others))]
+        return out
+
+    def estimate(self) -> float:
+        return self.parts[0].estimate(self.r, self.sum_counter.value())
+
+    def _sketch_sections(self) -> list[bytes]:
+        """Each part's two sections followed by the sum, but for the last
+        part's sum, which ``_sections`` writes."""
+        total = self.sum_counter.to_bytes()
+        return [s for part in self.parts for s in (*part.sections(), total)][:-1]
+
+    def _load_sketches(self, *sections: bytes) -> int:
+        """Each part's two sections; a sum written between parts must equal the file's last."""
+        for total in sections[2::3]:
+            if SumCounter.from_bytes(total).exact() != self.sum_counter.exact():
+                raise ParseError("the two parts of a signed file hold different sums")
+        return max(part.load(*sections[3 * i : 3 * i + 2], self.count) for i, part in enumerate(self.parts))
 
 
 class FullRangePipeline(_Pipeline):
@@ -358,6 +402,10 @@ class FullRangePipeline(_Pipeline):
         self.threshold_sketch = AllThresholdSketch(k, seed)
 
     ingest_batch = _Pipeline.ingest_batch
+
+    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
+        """The full-range mapping's (outkey, draw) outputs."""
+        return full_range_batch(key64s, values, MapperConfig(r=self.r, seed=self.seed), ordinals)
 
     def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         self.threshold_sketch.update_batch(outkeys, ys)
@@ -425,8 +473,8 @@ class FullRangePipeline(_Pipeline):
 class SignedEstimate:
     """Difference estimate with its stability certificate.
 
-    ``error_bound`` is the certified relative error limit rho * (eps+ + eps-)
-    given component measurements within eps+ and eps- relative error.
+    ``error_bound`` is the certified relative error limit rho * 2 * epsilon
+    given component measurements each within epsilon relative error.
     """
 
     value: float
@@ -440,10 +488,10 @@ def signed_estimate(
     plus_value: float,
     minus_value: float,
     a: SignedCoefficientFunction,
-    eps_plus: float = 0.0,
-    eps_minus: float = 0.0,
+    epsilon: float,
 ) -> SignedEstimate:
-    """Combine component measurements of the positive and negative parts.
+    """Combine component measurements of the positive and negative parts,
+    each within relative error ``epsilon``.
 
     A negative difference is clamped to zero (the target statistic is
     nonnegative, so clamping can only reduce error); the clamp is flagged.
@@ -454,68 +502,27 @@ def signed_estimate(
         value=0.0 if clamped else raw,
         raw=raw,
         rho=a.rho_bound,
-        error_bound=a.rho_bound * (float(eps_plus) + float(eps_minus)),
+        error_bound=a.rho_bound * 2.0 * float(epsilon),
         clamped=clamped,
     )
 
 
-class SignedCombinationPipeline(_Pipeline):
-    """Two combination pipelines measuring the positive and negative parts of
-    a signed coefficient function, with independent draws."""
+class SignedCombinationPipeline(CombinationPipeline):
+    """A combination pipeline of two parts, measuring the positive and the
+    negative part of a signed coefficient function with independent draws;
+    its estimate is their difference."""
 
     MODE = "signed"
 
-    def __init__(
-        self,
-        a: SignedCoefficientFunction,
-        r: int,
-        epsilon: float,
-        k: int,
-        seed: int = 0,
-        ordinal_base: int = 0,
-    ):
+    @staticmethod
+    def _measured(a: SignedCoefficientFunction, seed: int) -> list[tuple]:
         if a.minus.is_empty:
             raise ValueError("signed pipeline needs a nonempty negative part; use CombinationPipeline")
-        self.signed = a
-        self.plus = CombinationPipeline(a.plus, r, epsilon, k, seed, ordinal_base)
-        self.minus = CombinationPipeline(a.minus, r, epsilon, k, seed ^ _MINUS_SEED_FLIP, ordinal_base)
+        return [(a.plus, seed), (a.minus, seed ^ _MINUS_SEED_FLIP)]
 
-    @property
-    def epsilon(self) -> float:
-        return self.plus.epsilon
-
-    def ingest_batch(self, key64s, values) -> None:
-        """Both parts map the batch before either takes it, so a value whose
-        draws overflow under one part's seed only leaves both unchanged."""
-        plus, minus = self.plus._map(key64s, values), self.minus._map(key64s, values)
-        self.plus._commit(*plus)
-        self.minus._commit(*minus)
-
-    def merge(self, *others: "SignedCombinationPipeline") -> "SignedCombinationPipeline":
-        """Pure merge of each part; the parts check their coefficient functions."""
-        out = copy.copy(self)
-        out.plus = self.plus.merge(*(p.plus for p in others))
-        out.minus = self.minus.merge(*(p.minus for p in others))
-        return out
+    ingest_batch = _Pipeline.ingest_batch
+    merge = CombinationPipeline.merge
 
     def estimate(self) -> SignedEstimate:
-        return signed_estimate(
-            self.plus.estimate(),
-            self.minus.estimate(),
-            self.signed,
-            eps_plus=self.plus.epsilon,
-            eps_minus=self.minus.epsilon,
-        )
-
-    def _header(self, statistic: str) -> SketchFileHeader:
-        """The positive part's header (the negative part's seed is derived)."""
-        return replace(self.plus._header(statistic), mode=self.MODE)
-
-    def _sections(self) -> list[bytes]:
-        return self.plus._sections() + self.minus._sections()
-
-    def _load(self, sections: list[bytes], count: int) -> None:
-        self.plus._load(sections[:3], count)
-        self.minus._load(sections[3:], count)
-        if self.plus.sum_counter.exact() != self.minus.sum_counter.exact():
-            raise ParseError("the two parts of a signed file hold different sums")
+        total = self.sum_counter.value()
+        return signed_estimate(*(part.estimate(self.r, total) for part in self.parts), self.a, self.epsilon)

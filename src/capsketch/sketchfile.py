@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_EPSILON, IncompatibleSketchError, ParseError
+from .core import MIN_EPSILON, ParseError
 
 __all__ = ["SketchFileHeader", "OUTKEY", "ENTRY", "pack", "unpack", "records"]
 
@@ -53,9 +53,8 @@ def pack(h: SketchFileHeader, sections: list[bytes]) -> bytes:
     return head + crc.to_bytes(4, "little") + desc + body
 
 
-def unpack(data: bytes, mode: str | None = None) -> tuple[SketchFileHeader, list[bytes]]:
-    """Header and sections of a file written by :func:`pack`; with ``mode``,
-    a file of another mode raises :class:`IncompatibleSketchError`."""
+def unpack(data: bytes) -> tuple[SketchFileHeader, list[bytes]]:
+    """Header and sections of a file written by :func:`pack`."""
     if len(data) < _START or data[:4] != MAGIC:
         raise ParseError("not a sketch file")
     _, version, tag, epsilon, r, k, seed, base, count, dlen, blen = _HEAD.unpack_from(data)
@@ -69,8 +68,6 @@ def unpack(data: bytes, mode: str | None = None) -> tuple[SketchFileHeader, list
     if tag >= len(MODES) or not MIN_EPSILON <= epsilon < 1.0 or r < 1 or k < 1 or not desc.isascii():
         raise ParseError(f"invalid header (mode {tag}, epsilon {epsilon}, r {r}, k {k}, statistic {desc!r})")
     header = SketchFileHeader(list(MODES)[tag], desc.decode("ascii"), epsilon, r, k, seed, base, count)
-    if mode is not None and header.mode != mode:
-        raise IncompatibleSketchError(f"a {header.mode} sketch file is not a {mode} sketch")
     sections, off = [], _START + dlen
     for _ in range(MODES[header.mode]):  # a section overrunning the body leaves off past its end
         n = int.from_bytes(data[off : off + 8], "little")

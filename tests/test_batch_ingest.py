@@ -24,6 +24,7 @@ from capsketch.core import base_ranks, hash_key, hash_keys, outkey_block
 from capsketch.estimators import _MINUS_SEED_FLIP, _lookup, _smallest
 from capsketch.mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from capsketch.oracle import zipf_ranks
+from capsketch.sketchfile import unpack
 from capsketch.transforms import inverse_transform, parse_statistic
 from reference import map_full_range, map_point
 from test_estimators import sidelined
@@ -73,7 +74,7 @@ def test_combination_batch_repeated_keys(small_chunks, n, alpha, seed):
     els = zipf_elements(n, alpha, seed)
     a = inverse_transform(parse_statistic("sqrt"))
     single, batched = ingest_both(lambda: CombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
-    assert sidelined(batched) == sidelined(single)
+    assert sidelined(batched.parts[0]) == sidelined(single.parts[0])
     assert batched.estimate() == single.estimate()
 
 
@@ -82,9 +83,38 @@ def test_signed_batch_repeated_keys(small_chunks, n, alpha, seed):
     els = zipf_elements(n, alpha, seed)
     a = _signed_function(parse_statistic("capT=5"))
     single, batched = ingest_both(lambda: SignedCombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
-    for part in ("plus", "minus"):
-        assert sidelined(getattr(batched, part)) == sidelined(getattr(single, part))
+    for batched_part, single_part in zip(batched.parts, single.parts, strict=True):
+        assert sidelined(batched_part) == sidelined(single_part)
     assert batched.estimate() == single.estimate()
+
+
+def test_signed_batch_is_summed_once(monkeypatch):
+    # the two parts share one count and one sum: each ingest_batch adds the
+    # batch to the sum once, and after any batch split both sum sections of
+    # the file hold one SumCounter over every value
+    real, calls = SumCounter.update_batch, []
+
+    def counted(self, values):
+        calls.append(len(values))
+        real(self, values)
+
+    monkeypatch.setattr(SumCounter, "update_batch", counted)
+    a = _signed_function(parse_statistic("capT=5"))
+    rng = np.random.default_rng(11)
+    for seed in range(6):
+        n = int(rng.integers(1, 300))
+        k64 = hash_keys(b"k%d" % i for i in rng.integers(0, 60, n))
+        values = rng.uniform(0.25, 4.0, n)
+        cuts = sorted(rng.integers(0, n + 1, int(rng.integers(0, 5))).tolist())
+        pipeline = SignedCombinationPipeline(a, r=3, epsilon=0.5, k=8, seed=seed)
+        calls.clear()
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            pipeline.ingest_batch(k64[lo:hi], values[lo:hi])
+        assert calls == np.diff([0, *cuts, n]).tolist()
+        whole = SumCounter()
+        real(whole, values)
+        _, sections = unpack(pipeline.to_bytes())
+        assert sections[2] == sections[5] == whole.to_bytes()
 
 
 @pytest.mark.parametrize("chunk_cells", [96 * 40, 1 << 16])

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from capsketch import (
+    CoefficientFunction,
     CombinationPipeline,
     Element,
     FrequencyDistribution,
@@ -17,6 +19,7 @@ from capsketch import (
     MapperConfig,
     ParseError,
     PointPipeline,
+    SignedCoefficientFunction,
     SignedCombinationPipeline,
     StatisticSpec,
     cap1_approximation,
@@ -156,7 +159,7 @@ def test_soft_cap_huge_scale_returns_sum(toy_elements):
 
 
 def sidelined(p):
-    """The sidelined keys and draws of a combination pipeline, in its (draw, outkey) order."""
+    """The sidelined keys and draws of a combination pipeline's part, in its (draw, outkey) order."""
     return p.sidelined_keys.tolist(), p.sidelined_draws.tolist()
 
 
@@ -166,10 +169,11 @@ def test_combination_degenerate_all_sidelined():
     els = [Element(b"a", 1.0), Element(b"b", 2.0)]
     for e in els:
         p.ingest(e)
-    assert len(p.sidelined_keys) == 4  # 2 elements x r=2 outkeys, all sidelined
-    tau = p.tau()
-    assert tau == p.sidelined_draws.max()
-    expected = len(p.sidelined_keys) * float(a.tail(tau)) / 2 + 3.0 * float(a.head(tau))
+    (part,) = p.parts
+    assert len(part.sidelined_keys) == 4  # 2 elements x r=2 outkeys, all sidelined
+    tau = part.tau()
+    assert tau == part.sidelined_draws.max()
+    expected = len(part.sidelined_keys) * float(a.tail(tau)) / 2 + 3.0 * float(a.head(tau))
     assert p.estimate() == pytest.approx(expected, rel=1e-12)
 
 
@@ -183,6 +187,17 @@ def test_combination_rejects_divergent_head():
     CombinationPipeline(bad, r=1, epsilon=0.5, k=8, seed=0)
     with pytest.raises(TypeError):
         CombinationPipeline("sqrt", r=1, epsilon=0.5, k=8, seed=0)
+    divergent = CoefficientFunction(deltas=((0.25, math.inf),))
+    with pytest.raises(ValueError, match="finite head"):
+        CombinationPipeline(divergent, r=1, epsilon=0.5, k=8, seed=0)
+    # a signed pipeline checks each of its parts, and needs a negative one
+    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    with pytest.raises(TypeError):
+        SignedCombinationPipeline(SimpleNamespace(plus="sqrt", minus=tp.minus), r=1, epsilon=0.5, k=8, seed=0)
+    with pytest.raises(ValueError, match="finite head"):
+        SignedCombinationPipeline(SignedCoefficientFunction(divergent, tp.minus), r=1, epsilon=0.5, k=8, seed=0)
+    with pytest.raises(ValueError, match="negative part"):
+        SignedCombinationPipeline(cap1_approximation("soft"), r=1, epsilon=0.5, k=8, seed=0)
 
 
 def test_combination_fixed_cutoff_unbiased():
@@ -229,10 +244,10 @@ def test_one_merge_of_many_combination_shards(signed):
         shards[-1].ingest_batch(k64[lo:hi], vals[lo:hi])
     one = shards[0].merge(*shards[1:])
     fold = functools.reduce(lambda x, y: x.merge(y), shards)
-    for attr in ("plus", "minus") if signed else (None,):
-        part = (lambda p: getattr(p, attr)) if attr else (lambda p: p)
-        assert sidelined(part(one)) == sidelined(part(fold)) == sidelined(part(single))
-        assert (part(one).count, part(one).ordinal_base) == (400, 0)
+    assert len(one.parts) == (2 if signed else 1)
+    for parts in zip(one.parts, fold.parts, single.parts):
+        assert sidelined(parts[0]) == sidelined(parts[1]) == sidelined(parts[2])
+    assert (one.count, one.ordinal_base) == (400, 0)
     assert one.estimate() == fold.estimate() == single.estimate()
     blob = one.to_bytes()
     for order in itertools.permutations(shards):
@@ -253,12 +268,12 @@ def test_combination_merge_and_batch_equivalence():
     for e in els[150:]:
         right.ingest(e)
     merged = left.merge(right)
-    assert sidelined(merged) == sidelined(single)
+    assert sidelined(merged.parts[0]) == sidelined(single.parts[0])
     assert merged.estimate() == single.estimate()
     twin = CombinationPipeline(a, r=3, epsilon=0.35, k=32, seed=5)
     k64, vals = _hash_elements(els)
     twin.ingest_batch(k64, vals)
-    assert sidelined(twin) == sidelined(single)
+    assert sidelined(twin.parts[0]) == sidelined(single.parts[0])
     assert twin.estimate() == single.estimate()
 
 
@@ -363,11 +378,11 @@ def test_full_range_merge(toy_elements):
 
 def test_signed_estimate_passthrough_and_clamp():
     nonneg = cap1_approximation("soft")
-    est = signed_estimate(5.0, 0.0, nonneg, eps_plus=0.1)
+    est = signed_estimate(5.0, 0.0, nonneg, 0.1)
     assert est.value == 5.0 and est.rho == 1.0 and not est.clamped
-    assert est.error_bound == pytest.approx(0.1)
+    assert est.error_bound == pytest.approx(0.2)
     tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
-    est = signed_estimate(1.0, 2.5, tp, eps_plus=0.1, eps_minus=0.1)
+    est = signed_estimate(1.0, 2.5, tp, 0.1)
     assert est.clamped and est.value == 0.0 and est.raw == -1.5
     assert est.error_bound == pytest.approx(tp.rho_bound * 0.2)
 
@@ -378,7 +393,7 @@ def test_signed_exact_measurement_cap1(toy_dist):
     ws, cs = toy_dist.arrays()
     plus = float(np.dot(cs, tp.plus.lapm(ws)))
     minus = float(np.dot(cs, tp.minus.lapm(ws)))
-    est = signed_estimate(plus, minus, tp)
+    est = signed_estimate(plus, minus, tp, 0.0)
     truth = float(np.dot(cs, np.minimum(1.0, ws)))
     assert truth == 13.0
     assert abs(est.value - truth) / truth <= 0.14
@@ -390,7 +405,7 @@ def test_signed_exact_measurement_lifted_cap5(toy_dist):
     ws, cs = toy_dist.arrays()
     plus = float(np.dot(cs, lifted.plus.lapm(ws)))
     minus = float(np.dot(cs, lifted.minus.lapm(ws)))
-    est = signed_estimate(plus, minus, lifted)
+    est = signed_estimate(plus, minus, lifted, 0.0)
     truth = float(np.dot(cs, np.minimum(5.0, ws)))
     assert truth == 25.0
     assert abs(est.value - truth) / truth <= 0.14
@@ -411,8 +426,9 @@ def test_signed_pipeline_certificate_holds():
     f_plus = float(np.dot(cs, tp.plus.lapm(ws)))
     f_minus = float(np.dot(cs, tp.minus.lapm(ws)))
     f_signed = f_plus - f_minus
-    eps_p = abs(pipe.plus.estimate() - f_plus) / f_plus
-    eps_m = abs(pipe.minus.estimate() - f_minus) / f_minus
+    plus, minus = (part.estimate(pipe.r, pipe.sum_counter.value()) for part in pipe.parts)
+    eps_p = abs(plus - f_plus) / f_plus
+    eps_m = abs(minus - f_minus) / f_minus
     assert abs(est.value - f_signed) / f_signed <= tp.rho_bound * (eps_p + eps_m) + 1e-9
 
 
@@ -457,8 +473,8 @@ def test_counted_file_without_sidelined_keys_is_refused():
     a = inverse_transform("sqrt")
     pipe = CombinationPipeline(a, r=1, epsilon=0.5, k=8)
     pipe.ingest(Element(b"x", 2.0))
-    header, sections = unpack(pipe.to_bytes(), "combination")
-    assert len(pipe.max_sketch) == 0 and header.count == 1
+    header, sections = unpack(pipe.to_bytes())
+    assert len(pipe.parts[0].max_sketch) == 0 and header.count == 1
     with pytest.raises(ParseError, match="sidelined"):
         CombinationPipeline.from_sections(header, [b"", *sections[1:]], a)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsketch import FullRangePipeline, IncompatibleSketchError, ParseError, PointPipeline
+from capsketch import FullRangePipeline, ParseError, PointPipeline
 from capsketch.cli import main
 from test_golden import ROUTES
 
@@ -125,7 +125,7 @@ def test_version_1_file_exits_2(routes):
 
 def test_pipelines_read_only_their_own_mode(routes):
     files = routes[1]
-    with pytest.raises(IncompatibleSketchError):
+    with pytest.raises(ParseError, match="a point file cannot be read as a fullrange sketch"):
         FullRangePipeline.from_bytes(files["point"])
     with pytest.raises(ParseError):
         PointPipeline.from_bytes(b"garbage", 0.2)
