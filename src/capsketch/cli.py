@@ -190,12 +190,6 @@ def _route(mode: str, spec: StatisticSpec):
     raise UnsupportedStatisticError(f"unknown mode {mode!r}")
 
 
-def _emitted(pipeline) -> int:
-    """Output elements of a non-point build, which emits every draw: r per
-    element for each measured part (a full-range pipeline measures once)."""
-    return pipeline.count * pipeline.r * len(getattr(pipeline, "parts", [pipeline]))
-
-
 def _cmd_build(args) -> int:
     spec = parse_statistic(args.stat)
     # options a sketch file cannot hold exit 2 before any input is read
@@ -218,8 +212,8 @@ def _cmd_build(args) -> int:
         n += len(keys)
     write_sketch_file(args.output, pipeline.to_bytes(spec.descriptor()))
     print(f"elements: {n}")
-    if not isinstance(pipeline, PointPipeline):  # a point build never draws most cells
-        print(f"output elements: {_emitted(pipeline)}")
+    if not isinstance(pipeline, PointPipeline):  # a point build never draws most cells; others map r per element once
+        print(f"output elements: {pipeline.count * pipeline.r}")
     return EXIT_OK
 
 

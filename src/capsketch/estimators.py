@@ -15,17 +15,16 @@ of any sizes leave point and full-range pipelines byte-identical, and
 combination pipelines with the same sidelined keys and estimate. Every mode
 rejects the same values (not positive and finite, or so small that a draw
 overflows) before it changes any state, so a rejected call leaves the
-pipeline as it was. A combination pipeline holds its measurement as a list
-of parts under one count and one sum: one part, or for a signed pipeline two
-(the positive and the negative part, under independent seeds), and each
-part maps a batch before any part takes it.
+pipeline as it was. A combination pipeline maps a batch once and keeps one
+sidelined set and one max-distinct sketch per measured coefficient function:
+one, or for a signed pipeline two (the positive and the negative part).
 
 ``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one,
 given t or the coefficient function, and refuse with ``ParseError`` values no
 build writes: draws or values outside their sketch's domain, a negative sum,
-signed parts with different sums, sidelined keys that are not the distinct,
-(draw, outkey)-ordered set a build or merge leaves, or an element count that
-does not fit the sum and the number of entries.
+sidelined keys that are not the distinct, (draw, outkey)-ordered set a build
+or merge leaves, or an element count that does not fit the sum and the
+number of entries.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ __all__ = [
     "signed_estimate",
 ]
 
-# Seed perturbation for the negative-component pipeline of a signed estimate,
-# so the two measurements use independent draws.
-_MINUS_SEED_FLIP = 0x5851F42D4C957F2D
 _LOW16 = np.uint64(0xFFFF)
 
 
@@ -89,10 +85,18 @@ class _Pipeline:
     """Shared by every pipeline: the ordinals, the count and the exact sum,
     one ingest path, and one way to write and read a file of its ``MODE``.
 
-    A mode supplies its mapping (``_outputs``) and what its sketches do with
-    the outputs (``_take``), and its sketch sections (``_sketch_sections``,
-    and ``_load_sketches``, which returns the most entries a loaded section
-    holds); the sum is the last section of every file.
+    A mode supplies its mapping (``_outputs``; the full-range mapping unless
+    it overrides it), what its sketches do with the outputs (``_take``), and
+    its sketch sections (``_sketch_sections``, and ``_load_sketches``, which
+    returns the most entries a loaded section holds); the sum is the last
+    section of every file.
+
+    Each pipeline class repeats ``ingest_batch = _Pipeline.ingest_batch`` in
+    its own body, and the signed one also ``merge = CombinationPipeline.merge``.
+    The benchmark's tracer (``perfbench/tracing.py``) wraps each class's own
+    ``ingest_batch`` and ``merge`` through ``cls.__dict__``: without these
+    lines it raises ``KeyError``, and with them wrapping one class leaves the
+    others as they are.
     """
 
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
@@ -128,6 +132,10 @@ class _Pipeline:
             raise ElementValidationError(f"ordinal base {self.ordinal_base} plus {self.count + n} elements passes the last u64 ordinal")
         ordinals = np.arange(first, first + n, dtype=np.uint64)
         return values, *self._outputs(np.asarray(key64s, dtype=np.uint64), values, ordinals)
+
+    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
+        """The full-range mapping's (outkey, draw) outputs, mapped once at the seed."""
+        return full_range_batch(key64s, values, MapperConfig(r=self.r, seed=self.seed), ordinals)
 
     def _commit(self, values: np.ndarray, *outputs: np.ndarray) -> None:
         self.count += len(values)
@@ -233,34 +241,48 @@ class PointPipeline(_Pipeline):
         return len(self.counter)
 
 
-class _Part:
-    """One combination measurement: its coefficient function and seed, its
-    sidelined keys and draws, and its max-distinct sketch. The pipeline that
-    holds it keeps the count, the ordinals and the sum.
+class CombinationPipeline(_Pipeline):
+    """Max-distinct measurement of a nonnegative coefficient combination.
 
-    Output elements carry raw draws; the smallest-draw outkeys are sidelined
-    (up to ell = ceil(3/epsilon^2) of them) so the integration cutoff can be
-    chosen adaptively at estimation time. Evicted keys enter the max-distinct
-    sketch valued at the tail integral of their own recorded draw; at
+    Each batch is mapped once, at the pipeline's seed, to full-range (outkey,
+    draw) outputs. The smallest-draw outkeys are sidelined (up to ell =
+    ceil(3/epsilon^2) of them) so the integration cutoff can be chosen
+    adaptively at estimation time. Every evicted key enters one max-distinct
+    sketch per measured coefficient function (``_measured``; here one),
+    valued at that function's tail integral of its own recorded draw; at
     estimation the sidelined keys are fed at the tail integral of the cutoff
-    and the head of the coefficient function is covered by the exact sum.
+    and the head of the function is covered by the exact sum. A file holds
+    the sidelined (outkey, draw) records and then each max-distinct sketch.
     """
 
-    def __init__(self, a: CoefficientFunction, ell: int, k: int, seed: int):
-        if not isinstance(a, CoefficientFunction):
-            raise TypeError("combination pipelines need a CoefficientFunction")
-        if float(a.head(1.0)) == inf:
-            raise ValueError("coefficient function must have a finite head integral")
-        self.a, self.ell, self.seed = a, ell, seed
-        self.max_sketch = MaxDistinctSketch(k, seed)
+    MODE = "combination"
+
+    def __init__(self, a, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
+        super().__init__(r, epsilon, k, seed, ordinal_base)
+        self.a = a
+        self.ell = ceil(3.0 * self.epsilon**-2)
+        self.measured = self._measured(a)
+        for f in self.measured:
+            if not isinstance(f, CoefficientFunction):
+                raise TypeError("combination pipelines need a CoefficientFunction")
+            if float(f.head(1.0)) == inf:
+                raise ValueError("coefficient function must have a finite head integral")
+        self.max_sketches = [MaxDistinctSketch(self.k, self.seed) for _ in self.measured]
         # the sidelined outkeys and their draws, in (draw, outkey) order
         self.sidelined_keys = np.empty(0, dtype=np.uint64)
         self.sidelined_draws = np.empty(0, dtype=np.float64)
 
-    def take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
+    @staticmethod
+    def _measured(a: CoefficientFunction) -> list[CoefficientFunction]:
+        """The coefficient functions measured, one max-distinct sketch each."""
+        return [a]
+
+    ingest_batch = _Pipeline.ingest_batch
+
+    def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         """Sideline the ell smallest (draw, outkey) of the sidelined keys and
         the given distinct outkeys, each key at its smallest draw, and feed
-        every other key to the max-distinct sketch at its draw's tail value."""
+        every other key to each max-distinct sketch at its draw's tail value."""
         if len(outkeys) == 0:
             return
         side_ys = self.sidelined_draws.copy()
@@ -275,120 +297,71 @@ class _Part:
             return
         rest = np.ones(len(keys), dtype=bool)
         rest[chosen] = False
-        vals = np.asarray(self.a.tail(draws[rest]), dtype=np.float64)
-        keep = vals > 0.0
-        if keep.any():
-            self.max_sketch.update_batch(keys[rest][keep], vals[keep])
+        keys, draws = keys[rest], draws[rest]
+        for f, sketch in zip(self.measured, self.max_sketches):
+            vals = np.asarray(f.tail(draws), dtype=np.float64)
+            keep = vals > 0.0
+            if keep.any():
+                sketch.update_batch(keys[keep], vals[keep])
 
-    def merge(self, *others: "_Part") -> "_Part":
-        """Pure merge: the max-distinct sketches merged, then the union of the
+    def merge(self, *others: "CombinationPipeline") -> "CombinationPipeline":
+        """Pure merge: each max-distinct sketch merged, then the union of the
         sidelined keys, each at its smallest draw, taken once; the result
         does not depend on the order of the inputs."""
-        out = copy.copy(self)
-        out.max_sketch = self.max_sketch.merge(*(p.max_sketch for p in others))
+        out = self._merged(others, "a")
+        out.max_sketches = [s.merge(*rest) for s, *rest in zip(self.max_sketches, *(p.max_sketches for p in others))]
         keys = np.concatenate([p.sidelined_keys for p in (self, *others)])
         draws = np.concatenate([p.sidelined_draws for p in (self, *others)])
         order = np.argsort(draws)
         at = order[np.unique(keys[order], return_index=True)[1]]  # each key at its smallest draw
-        out.take(keys[at], draws[at])
+        out._take(keys[at], draws[at])
         return out
 
     def tau(self) -> float:
         """Current adaptive cutoff: the largest sidelined draw."""
         return float(self.sidelined_draws.max()) if self.sidelined_draws.size else 0.0
 
-    def estimate(self, r: int, total: float) -> float:
-        """Finalize without mutating, at r replicas and the exact sum
-        ``total``: sideline keys are fed at the cutoff's tail value into a
-        copy of the sketch, the head is covered by the sum."""
+    def _estimates(self) -> list[float]:
+        """Each measured function's estimate, without mutating: the sidelined
+        keys are fed at the cutoff's tail value into a copy of its sketch, and
+        the head is covered by the sum."""
         if self.sidelined_keys.size == 0:
-            return 0.0
-        tau = self.tau()
-        fed = self.max_sketch.merge()
-        v = float(self.a.tail(tau))
-        if v > 0.0:
-            fed.update_batch(self.sidelined_keys, np.full(len(self.sidelined_keys), v))
-        return fed.estimate() / r + total * float(self.a.head(tau))
+            return [0.0] * len(self.measured)
+        tau, total, out = self.tau(), self.sum_counter.value(), []
+        for f, sketch in zip(self.measured, self.max_sketches):
+            fed = sketch.merge()
+            v = float(f.tail(tau))
+            if v > 0.0:
+                fed.update_batch(self.sidelined_keys, np.full(len(self.sidelined_keys), v))
+            out.append(fed.estimate() / self.r + total * float(f.head(tau)))
+        return out
 
-    def sections(self) -> list[bytes]:
-        """The sidelined (outkey, draw) records and the max-distinct sketch."""
+    def estimate(self) -> float:
+        (value,) = self._estimates()
+        return value
+
+    def _sketch_sections(self) -> list[bytes]:
+        """The sidelined (outkey, draw) records, then each max-distinct sketch."""
         side = np.rec.fromarrays([self.sidelined_keys, self.sidelined_draws], dtype=ENTRY).tobytes()
-        return [side, self.max_sketch.to_bytes()]
+        return [side, *(s.to_bytes() for s in self.max_sketches)]
 
-    def load(self, side: bytes, entries: bytes, count: int) -> int:
-        """A build or merge of ``count`` elements leaves distinct sidelined
-        keys in (draw, outkey) order: at most ell, ell whenever the
-        max-distinct sketch holds an entry, and at least one once an element
-        is counted. Others raise ParseError. Returns the most entries a
-        loaded section holds."""
+    def _load_sketches(self, side: bytes, *entries: bytes) -> int:
+        """A build or merge leaves distinct sidelined keys in (draw, outkey)
+        order: at most ell, ell whenever a max-distinct sketch holds an entry,
+        and at least one once an element is counted. Others raise ParseError."""
         rec = records(side, ENTRY)
         # sidelined draws lie where full-range ys do, in [0, inf)
         keys, draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
-        self.max_sketch = MaxDistinctSketch.from_bytes(entries, self.max_sketch.k, self.seed)
+        self.max_sketches = [MaxDistinctSketch.from_bytes(e, self.k, self.seed) for e in entries]
         ordered = (draws[1:] > draws[:-1]) | ((draws[1:] == draws[:-1]) & (keys[1:] > keys[:-1]))
         by_key = np.sort(keys)  # sorted neighbours: about a fifth of np.unique's time at 300 keys
         if not ordered.all() or (by_key[1:] == by_key[:-1]).any():
             raise ParseError("sidelined outkeys must be distinct and in (draw, outkey) order")
-        n = len(keys)
-        if n > self.ell or (n < self.ell and len(self.max_sketch)) or (n == 0 and count):
-            raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {len(self.max_sketch)} max-distinct entries and {count} elements")
+        n, held = len(keys), max(len(s) for s in self.max_sketches)
+        if n > self.ell or (n < self.ell and held) or (n == 0 and self.count):
+            raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {held} max-distinct entries and {self.count} elements")
         self.sidelined_keys, self.sidelined_draws = keys, draws
-        return max(n, len(self.max_sketch))
-
-
-class CombinationPipeline(_Pipeline):
-    """Max-distinct measurement of a nonnegative coefficient combination.
-
-    The measurement is held as a list of measured parts (``parts``, see
-    ``_Part``), here one; the pipeline keeps the one count, ordinal base and
-    sum they share. Each part maps a batch under its own seed before any part
-    takes it. A file holds each part's two sections, each followed by the sum.
-    """
-
-    MODE = "combination"
-
-    def __init__(self, a, r: int, epsilon: float, k: int, seed: int = 0, ordinal_base: int = 0):
-        super().__init__(r, epsilon, k, seed, ordinal_base)
-        self.a = a
-        ell = ceil(3.0 * self.epsilon**-2)
-        self.parts = [_Part(f, ell, self.k, s) for f, s in self._measured(a, self.seed)]
-
-    @staticmethod
-    def _measured(a: CoefficientFunction, seed: int) -> list[tuple]:
-        """The coefficient function and seed of each measured part."""
-        return [(a, seed)]
-
-    ingest_batch = _Pipeline.ingest_batch
-
-    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
-        """Each part's full-range (outkey, draw) outputs, under its own seed."""
-        return tuple(full_range_batch(key64s, values, MapperConfig(r=self.r, seed=p.seed), ordinals) for p in self.parts)
-
-    def _take(self, *outputs: tuple) -> None:
-        for part, (outkeys, ys) in zip(self.parts, outputs):
-            part.take(outkeys, ys)
-
-    def merge(self, *others: "CombinationPipeline") -> "CombinationPipeline":
-        """Pure merge of each part, and of the count and the sum once."""
-        out = self._merged(others, "a")
-        out.parts = [part.merge(*rest) for part, *rest in zip(self.parts, *(p.parts for p in others))]
-        return out
-
-    def estimate(self) -> float:
-        return self.parts[0].estimate(self.r, self.sum_counter.value())
-
-    def _sketch_sections(self) -> list[bytes]:
-        """Each part's two sections followed by the sum, but for the last
-        part's sum, which ``_sections`` writes."""
-        total = self.sum_counter.to_bytes()
-        return [s for part in self.parts for s in (*part.sections(), total)][:-1]
-
-    def _load_sketches(self, *sections: bytes) -> int:
-        """Each part's two sections; a sum written between parts must equal the file's last."""
-        for total in sections[2::3]:
-            if SumCounter.from_bytes(total).exact() != self.sum_counter.exact():
-                raise ParseError("the two parts of a signed file hold different sums")
-        return max(part.load(*sections[3 * i : 3 * i + 2], self.count) for i, part in enumerate(self.parts))
+        return max(n, held)
 
 
 class FullRangePipeline(_Pipeline):
@@ -402,10 +375,6 @@ class FullRangePipeline(_Pipeline):
         self.threshold_sketch = AllThresholdSketch(k, seed)
 
     ingest_batch = _Pipeline.ingest_batch
-
-    def _outputs(self, key64s: np.ndarray, values: np.ndarray, ordinals: np.ndarray) -> tuple:
-        """The full-range mapping's (outkey, draw) outputs."""
-        return full_range_batch(key64s, values, MapperConfig(r=self.r, seed=self.seed), ordinals)
 
     def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
         self.threshold_sketch.update_batch(outkeys, ys)
@@ -429,11 +398,6 @@ class FullRangePipeline(_Pipeline):
         if raw >= self.gate or (bp.size and t >= bp[-1]):
             return raw / self.r
         return t * self.sum_counter.value()
-
-    def estimate_soft_cap(self, T: float) -> float:
-        if not T > 0.0:
-            raise ValueError(f"soft cap scale T must be > 0, got {T}")
-        return T * self.estimate_at(1.0 / T)
 
     def estimate_combination(self, a: CoefficientFunction) -> float:
         """Integral of the coefficient function against the threshold profile.
@@ -508,21 +472,20 @@ def signed_estimate(
 
 
 class SignedCombinationPipeline(CombinationPipeline):
-    """A combination pipeline of two parts, measuring the positive and the
-    negative part of a signed coefficient function with independent draws;
-    its estimate is their difference."""
+    """A combination pipeline measuring the positive and the negative part of
+    a signed coefficient function on one mapping, with one sidelined set and
+    a max-distinct sketch for each part; its estimate is their difference."""
 
     MODE = "signed"
 
     @staticmethod
-    def _measured(a: SignedCoefficientFunction, seed: int) -> list[tuple]:
+    def _measured(a: SignedCoefficientFunction) -> list[CoefficientFunction]:
         if a.minus.is_empty:
             raise ValueError("signed pipeline needs a nonempty negative part; use CombinationPipeline")
-        return [(a.plus, seed), (a.minus, seed ^ _MINUS_SEED_FLIP)]
+        return [a.plus, a.minus]
 
     ingest_batch = _Pipeline.ingest_batch
     merge = CombinationPipeline.merge
 
     def estimate(self) -> SignedEstimate:
-        total = self.sum_counter.value()
-        return signed_estimate(*(part.estimate(self.r, total) for part in self.parts), self.a, self.epsilon)
+        return signed_estimate(*self._estimates(), self.a, self.epsilon)

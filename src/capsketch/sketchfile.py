@@ -22,7 +22,7 @@ __all__ = ["SketchFileHeader", "OUTKEY", "ENTRY", "pack", "unpack", "records"]
 MAGIC = b"FSK1"
 VERSION = 2
 # mode name -> number of body sections, in mode-byte order
-MODES = {"point": 2, "combination": 3, "fullrange": 2, "signed": 6}
+MODES = {"point": 2, "combination": 3, "fullrange": 2, "signed": 4}
 _HEAD = struct.Struct("<4sHBdIIQQQHQ")  # the header up to its CRC32
 _START = _HEAD.size + 4  # offset of the descriptor
 

@@ -18,16 +18,16 @@ from capsketch import (
     SignedCombinationPipeline,
     SumCounter,
 )
-from capsketch import mappers
+from capsketch import estimators, mappers
 from capsketch.cli import _signed_function, main
 from capsketch.core import base_ranks, hash_key, hash_keys, outkey_block
-from capsketch.estimators import _MINUS_SEED_FLIP, _lookup, _smallest
+from capsketch.estimators import _lookup, _smallest
 from capsketch.mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from capsketch.oracle import zipf_ranks
 from capsketch.sketchfile import unpack
 from capsketch.transforms import inverse_transform, parse_statistic
 from reference import map_full_range, map_point
-from test_estimators import sidelined
+from test_estimators import _hash_elements, sidelined
 
 
 def zipf_elements(n, alpha, seed):
@@ -74,7 +74,7 @@ def test_combination_batch_repeated_keys(small_chunks, n, alpha, seed):
     els = zipf_elements(n, alpha, seed)
     a = inverse_transform(parse_statistic("sqrt"))
     single, batched = ingest_both(lambda: CombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
-    assert sidelined(batched.parts[0]) == sidelined(single.parts[0])
+    assert sidelined(batched) == sidelined(single)
     assert batched.estimate() == single.estimate()
 
 
@@ -83,15 +83,55 @@ def test_signed_batch_repeated_keys(small_chunks, n, alpha, seed):
     els = zipf_elements(n, alpha, seed)
     a = _signed_function(parse_statistic("capT=5"))
     single, batched = ingest_both(lambda: SignedCombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
-    for batched_part, single_part in zip(batched.parts, single.parts, strict=True):
-        assert sidelined(batched_part) == sidelined(single_part)
+    assert sidelined(batched) == sidelined(single)
     assert batched.estimate() == single.estimate()
+
+
+def test_signed_pipeline_is_two_combination_measurements_of_one_mapping(small_chunks, monkeypatch):
+    # over uneven batches, and merged from two shards at partition-consistent
+    # bases, a signed file holds the sidelined and max-distinct sections of
+    # the combination pipelines of its two parts at its seed, its raw estimate
+    # is the difference of theirs, and it maps each batch once
+    real, calls = estimators.full_range_batch, []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "full_range_batch", counted)
+    els = zipf_elements(400, 1.5, 3)
+    k64, vals = _hash_elements(els)
+    a = _signed_function(parse_statistic("capT=5"))
+
+    def built(cls, f, lo, hi, sizes):
+        pipeline = cls(f, r=7, epsilon=0.3, k=16, seed=5, ordinal_base=lo)
+        bounds = lo + np.cumsum([0, *sizes])
+        assert bounds[-1] == hi
+        for b_lo, b_hi in zip(bounds, bounds[1:]):
+            pipeline.ingest_batch(k64[b_lo:b_hi], vals[b_lo:b_hi])
+        return pipeline
+
+    def whole(cls, f):
+        return built(cls, f, 0, 400, SIZES)
+
+    def merged(cls, f):
+        return built(cls, f, 0, 150, [60, 90]).merge(built(cls, f, 150, 400, [13, 237]))
+
+    for make, batches in ((whole, SIZES), (merged, [60, 90, 13, 237])):
+        calls.clear()
+        signed = make(SignedCombinationPipeline, a)
+        assert calls == batches  # one mapping per ingest_batch
+        plus, minus = make(CombinationPipeline, a.plus), make(CombinationPipeline, a.minus)
+        _, (side, plus_entries, minus_entries, total) = unpack(signed.to_bytes())
+        assert unpack(plus.to_bytes())[1] == [side, plus_entries, total]
+        assert unpack(minus.to_bytes())[1] == [side, minus_entries, total]
+        assert signed.estimate().raw == plus.estimate() - minus.estimate()
 
 
 def test_signed_batch_is_summed_once(monkeypatch):
     # the two parts share one count and one sum: each ingest_batch adds the
-    # batch to the sum once, and after any batch split both sum sections of
-    # the file hold one SumCounter over every value
+    # batch to the sum once, and after any batch split the sum section of
+    # the file holds one SumCounter over every value
     real, calls = SumCounter.update_batch, []
 
     def counted(self, values):
@@ -114,7 +154,7 @@ def test_signed_batch_is_summed_once(monkeypatch):
         whole = SumCounter()
         real(whole, values)
         _, sections = unpack(pipeline.to_bytes())
-        assert sections[2] == sections[5] == whole.to_bytes()
+        assert len(sections) == 4 and sections[3] == whole.to_bytes()
 
 
 @pytest.mark.parametrize("chunk_cells", [96 * 40, 1 << 16])
@@ -342,24 +382,17 @@ def _overflows(seed: int, ordinal: int, value: float) -> bool:
     return False
 
 
-def _seed_rejecting_one_part(index: int) -> int:
-    """The first seed at which pipeline ``index`` rejects ONE_PART at
-    ordinals 1 and 2. For the signed pipeline only its negative part's draws
-    overflow there, so its positive part alone would take the value."""
-    for seed in range(1000):
-        if index == 3:
-            if all(_overflows(seed ^ _MINUS_SEED_FLIP, o, ONE_PART) and not _overflows(seed, o, ONE_PART) for o in (1, 2)):
-                return seed
-        elif all(_overflows(seed, o, ONE_PART) for o in (1, 2)):
-            return seed
-    raise AssertionError("no seed found")
+def _seed_rejecting_one_part() -> int:
+    """The first seed whose one mapping rejects ONE_PART at ordinals 1 and 2;
+    every pipeline, the signed one included, maps a batch once at its seed."""
+    return next(seed for seed in range(1000) if all(_overflows(seed, o, ONE_PART) for o in (1, 2)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, SUBNORMAL, ONE_PART])
 @pytest.mark.parametrize("index", range(4))
 def test_rejected_values_leave_pipeline_unchanged(index, bad):
     # the element "b" gets ordinal 2 in the batch and 1 on its own
-    pipeline = _all_pipelines(seed=_seed_rejecting_one_part(index) if bad == ONE_PART else 0)[index]
+    pipeline = _all_pipelines(seed=_seed_rejecting_one_part() if bad == ONE_PART else 0)[index]
     pipeline.ingest(Element(b"a", 1.0))
     before = pipeline.to_bytes()
     k64 = np.array([hash_key(b"c"), hash_key(b"b")], dtype=np.uint64)

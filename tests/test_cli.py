@@ -68,6 +68,11 @@ def test_cli_output_counts(capsys, tmp_path, toy_tsv):
     assert code == 0
     assert "elements: 13" in stdout
     assert "output elements: 65" in stdout
+    # a signed build maps each element once, for both of its parts
+    mode, stat = ROUTES["signed"]
+    code, stdout, _ = run(capsys, "build", toy_tsv, "--stat", stat, "--mode", mode, "--r", "5", "--seed", "9", "-o", str(out))
+    assert code == 0
+    assert "output elements: 65" in stdout
 
 
 # at T = 2 the estimate is the t * SUM fallback, in which T cancels; at
@@ -195,12 +200,13 @@ UNBUILDABLE = [
     ("point", 1, b"-5/1"),
     ("fullrange", 1, b"-5/1"),
     ("combination", 2, b"-5/1"),
-    ("signed", 5, b"7/1"),
+    ("signed", 1, 0.0),
+    ("signed", 2, 0.0),
     ("combination", 0, lambda side: side + side),
     ("combination", 0, b""),
     ("combination", 0, lambda side: records(side, ENTRY)[::-1].tobytes()),
     ("combination", 0, lambda side: side[: ENTRY.itemsize]),
-    ("signed", 3, lambda side: records(side, ENTRY)[::-1].tobytes()),
+    ("signed", 0, lambda side: records(side, ENTRY)[::-1].tobytes()),
 ]
 
 
@@ -209,8 +215,8 @@ UNBUILDABLE = [
     UNBUILDABLE,
     ids=["y-nan", "y-negative", "y-inf", "sidelined-nan", "sidelined-negative", "sidelined-inf", "max-distinct-zero",
          "max-distinct-nan", "max-distinct-inf", "point-sum-negative", "fullrange-sum-negative",
-         "combination-sum-negative", "signed-sums-differ", "sidelined-twice", "sidelined-empty", "sidelined-reversed",
-         "sidelined-first-only", "signed-minus-sidelined-reversed"],
+         "combination-sum-negative", "signed-plus-max-distinct-zero", "signed-minus-max-distinct-zero", "sidelined-twice",
+         "sidelined-empty", "sidelined-reversed", "sidelined-first-only", "signed-sidelined-reversed"],
 )
 def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, change):
     mode, stat = ROUTES[route]
@@ -232,6 +238,25 @@ def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, chang
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.fsk").exists()
+
+
+def test_signed_file_of_the_six_section_layout_exits_2(capsys, tmp_path):
+    # signed files once held the sidelined keys, the max-distinct sketch and
+    # the sum of each part; such a body has the wrong section count for the
+    # four-section layout, though it keeps a valid CRC
+    mode, stat = ROUTES["signed"]
+    tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(300)])
+    path = str(tmp_path / "x.fsk")
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "--epsilon", "0.5", "-o", path]
+    assert run(capsys, *argv)[0] == 0
+    header, (side, plus, minus, total) = read_sketch_file(path)
+    with open(path, "wb") as fh:
+        fh.write(pack(header, [side, plus, total, side, minus, total]))
+    for argv in (["estimate", path], ["merge", path, path, "-o", str(tmp_path / "m.fsk")]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "m.fsk").exists()
 
 

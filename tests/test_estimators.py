@@ -159,7 +159,7 @@ def test_soft_cap_huge_scale_returns_sum(toy_elements):
 
 
 def sidelined(p):
-    """The sidelined keys and draws of a combination pipeline's part, in its (draw, outkey) order."""
+    """The sidelined keys and draws of a combination pipeline, in its (draw, outkey) order."""
     return p.sidelined_keys.tolist(), p.sidelined_draws.tolist()
 
 
@@ -169,11 +169,10 @@ def test_combination_degenerate_all_sidelined():
     els = [Element(b"a", 1.0), Element(b"b", 2.0)]
     for e in els:
         p.ingest(e)
-    (part,) = p.parts
-    assert len(part.sidelined_keys) == 4  # 2 elements x r=2 outkeys, all sidelined
-    tau = part.tau()
-    assert tau == part.sidelined_draws.max()
-    expected = len(part.sidelined_keys) * float(a.tail(tau)) / 2 + 3.0 * float(a.head(tau))
+    assert len(p.sidelined_keys) == 4  # 2 elements x r=2 outkeys, all sidelined
+    tau = p.tau()
+    assert tau == p.sidelined_draws.max()
+    expected = len(p.sidelined_keys) * float(a.tail(tau)) / 2 + 3.0 * float(a.head(tau))
     assert p.estimate() == pytest.approx(expected, rel=1e-12)
 
 
@@ -244,9 +243,8 @@ def test_one_merge_of_many_combination_shards(signed):
         shards[-1].ingest_batch(k64[lo:hi], vals[lo:hi])
     one = shards[0].merge(*shards[1:])
     fold = functools.reduce(lambda x, y: x.merge(y), shards)
-    assert len(one.parts) == (2 if signed else 1)
-    for parts in zip(one.parts, fold.parts, single.parts):
-        assert sidelined(parts[0]) == sidelined(parts[1]) == sidelined(parts[2])
+    assert len(one.max_sketches) == (2 if signed else 1)
+    assert sidelined(one) == sidelined(fold) == sidelined(single)
     assert (one.count, one.ordinal_base) == (400, 0)
     assert one.estimate() == fold.estimate() == single.estimate()
     blob = one.to_bytes()
@@ -268,12 +266,12 @@ def test_combination_merge_and_batch_equivalence():
     for e in els[150:]:
         right.ingest(e)
     merged = left.merge(right)
-    assert sidelined(merged.parts[0]) == sidelined(single.parts[0])
+    assert sidelined(merged) == sidelined(single)
     assert merged.estimate() == single.estimate()
     twin = CombinationPipeline(a, r=3, epsilon=0.35, k=32, seed=5)
     k64, vals = _hash_elements(els)
     twin.ingest_batch(k64, vals)
-    assert sidelined(twin.parts[0]) == sidelined(single.parts[0])
+    assert sidelined(twin) == sidelined(single)
     assert twin.estimate() == single.estimate()
 
 
@@ -333,8 +331,8 @@ def test_full_range_combination_delta_equals_threshold_query(toy_elements):
     fr.ingest_batch(k64, vals)
     T = 2.0
     a = inverse_transform(StatisticSpec("softcap", {"T": T}))
-    assert fr.estimate_combination(a) == pytest.approx(T * fr.estimate_at(1.0 / T), rel=1e-12)
-    assert fr.estimate_soft_cap(T) == T * fr.estimate_at(1.0 / T)
+    # the route of `capsketch estimate --stat softcapT=T`
+    assert fr.estimate_combination(a) == T * fr.estimate_at(1.0 / T)
 
 
 def test_full_range_combination_continuous_matches_direct_integration():
@@ -426,7 +424,7 @@ def test_signed_pipeline_certificate_holds():
     f_plus = float(np.dot(cs, tp.plus.lapm(ws)))
     f_minus = float(np.dot(cs, tp.minus.lapm(ws)))
     f_signed = f_plus - f_minus
-    plus, minus = (part.estimate(pipe.r, pipe.sum_counter.value()) for part in pipe.parts)
+    plus, minus = pipe._estimates()
     eps_p = abs(plus - f_plus) / f_plus
     eps_m = abs(minus - f_minus) / f_minus
     assert abs(est.value - f_signed) / f_signed <= tp.rho_bound * (eps_p + eps_m) + 1e-9
@@ -474,7 +472,7 @@ def test_counted_file_without_sidelined_keys_is_refused():
     pipe = CombinationPipeline(a, r=1, epsilon=0.5, k=8)
     pipe.ingest(Element(b"x", 2.0))
     header, sections = unpack(pipe.to_bytes())
-    assert len(pipe.parts[0].max_sketch) == 0 and header.count == 1
+    assert len(pipe.max_sketches[0]) == 0 and header.count == 1
     with pytest.raises(ParseError, match="sidelined"):
         CombinationPipeline.from_sections(header, [b"", *sections[1:]], a)
 

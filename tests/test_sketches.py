@@ -607,7 +607,7 @@ def test_max_distinct_read_keeps_a_repeated_outkey_once():
     pipe.ingest_batch(np.arange(300, dtype=np.uint64) % 50, np.arange(300) % 3 + 1.0)
     header, sections = unpack(pipe.to_bytes("sqrt"))
     sections[1] = sketch_blob(pairs, "<Qd")
-    assert CombinationPipeline.from_bytes(pack(header, sections), a).parts[0].max_sketch.to_bytes() == want
+    assert CombinationPipeline.from_bytes(pack(header, sections), a).max_sketches[0].to_bytes() == want
 
 
 @settings(max_examples=80, deadline=None)
