@@ -42,6 +42,7 @@ from .transforms import (
     inverse_transform,
     laplace_c,
     lift_cap1_to_f,
+    measured_function,
     parse_statistic,
     rho_estimate,
 )

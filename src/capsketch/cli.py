@@ -42,20 +42,13 @@ from .estimators import (
     FullRangePipeline,
     PointPipeline,
     SignedCombinationPipeline,
+    SignedEstimate,
     signed_estimate,
 )
 from .mappers import choose_replication
 from .oracle import exact_statistic
 from .sketchfile import SketchFileHeader, unpack
-from .transforms import (
-    THREE_POINT_STABLE,
-    StatisticSpec,
-    cap1_approximation,
-    capping_transform,
-    inverse_transform,
-    lift_cap1_to_f,
-    parse_statistic,
-)
+from .transforms import SignedCoefficientFunction, StatisticSpec, measured_function, parse_statistic
 
 __all__ = ["main", "read_sketch_file", "write_sketch_file"]
 
@@ -91,12 +84,24 @@ def read_sketch_file(path: str) -> tuple[SketchFileHeader, list[bytes]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _load(path: str, header: SketchFileHeader, sections: list[bytes], cls, head):
-    """``cls.from_sections`` of the file read from ``path``; a ParseError names the path."""
+def _read(paths: list[str]) -> tuple[SketchFileHeader, list]:
+    """The first header and the pipelines of the files at ``paths``, which must match it and share its route.
+    Routing a header is part of reading its file, so a refusal there is a ParseError naming the path."""
+    files = [read_sketch_file(p) for p in paths]
+    base = files[0][0]
+    for path, (header, _) in zip(paths[1:], files[1:]):
+        for field in ("mode", "statistic", "epsilon", "r", "k", "seed"):
+            a, b = getattr(base, field), getattr(header, field)
+            if a != b:
+                raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
+    pipelines, path = [], paths[0]
     try:
-        return cls.from_sections(header, sections, *head)
-    except ParseError as exc:
+        cls, head = _route(base.mode, parse_statistic(base.statistic))
+        for path, (header, sections) in zip(paths, files):
+            pipelines.append(cls.from_sections(header, sections, *head))
+    except (ParseError, UnsupportedStatisticError, IllPosedTransformError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    return base, pipelines
 
 
 def _parse_lines(raw: list[bytes], lineno: int) -> tuple[list[bytes], np.ndarray]:
@@ -163,31 +168,24 @@ def _key_hashes(keys) -> np.ndarray:
     return hash_keys(at)[np.fromiter(map(at.__getitem__, keys), np.intp, len(keys))]
 
 
-def _signed_function(spec: StatisticSpec):
-    """Signed coefficient function for hard-capping statistics."""
-    if spec.name == "cap1approx":
-        p = spec.params
-        return cap1_approximation("three_point", A=p["A"], b1=p["b1"], b2=p["b2"])
-    if spec.name == "cap":
-        alpha = cap1_approximation("three_point", **THREE_POINT_STABLE)
-        return lift_cap1_to_f(capping_transform(spec), alpha)
-    raise UnsupportedStatisticError(f"statistic {spec.name!r} has no signed route")
-
-
 def _route(mode: str, spec: StatisticSpec):
-    """Pipeline class for ``spec`` in a build or file mode, and its leading constructor arguments."""
-    if mode == "point":
-        if spec.name != "softcap":
-            raise UnsupportedStatisticError(f"point mode measures softcapT statistics; got {spec.descriptor()!r}")
-        ((t, _),) = inverse_transform(spec).deltas
-        return PointPipeline, (t,)
-    if mode in ("combination", "signed"):
-        if spec.name in ("cap", "cap1approx"):
-            return SignedCombinationPipeline, (_signed_function(spec),)
-        return CombinationPipeline, (inverse_transform(spec),)
+    """Pipeline class for ``spec`` in a build or file mode, and its leading
+    constructor arguments, picked by the form of its measured function: one
+    point mass for point mode, a nonnegative function for combination, a
+    signed one for signed. Full-range also answers ``distinct`` and ``sum``."""
+    if mode == "fullrange" and spec.name in ("distinct", "sum"):
+        return FullRangePipeline, ()
+    try:
+        a = measured_function(spec)
+    except (UnsupportedStatisticError, IllPosedTransformError) as exc:
+        raise type(exc)(f"{mode} mode: {exc}") from None
     if mode == "fullrange":
         return FullRangePipeline, ()
-    raise UnsupportedStatisticError(f"unknown mode {mode!r}")
+    if mode == "point":
+        if isinstance(a, SignedCoefficientFunction) or a.parts or len(a.deltas) != 1:
+            raise UnsupportedStatisticError(f"point mode measures one point mass; {spec.descriptor()!r} is not one")
+        return PointPipeline, (a.deltas[0][0],)
+    return (SignedCombinationPipeline if isinstance(a, SignedCoefficientFunction) else CombinationPipeline), (a,)
 
 
 def _cmd_build(args) -> int:
@@ -218,64 +216,50 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    files = [read_sketch_file(p) for p in args.inputs]
-    base_header = files[0][0]
-    for path, (header, _) in zip(args.inputs[1:], files[1:]):
-        for field in ("mode", "statistic", "epsilon", "r", "k", "seed"):
-            a, b = getattr(base_header, field), getattr(header, field)
-            if a != b:
-                raise IncompatibleSketchError(f"{path}: {field} mismatch ({b!r} vs {a!r})")
-    cls, head = _route(base_header.mode, parse_statistic(base_header.statistic))  # shared by every input
-    first, *rest = (_load(path, header, sections, cls, head) for path, (header, sections) in zip(args.inputs, files))
+    header, (first, *rest) = _read(args.inputs)
     merged = first.merge(*rest)
-    write_sketch_file(args.output, merged.to_bytes(base_header.statistic))
+    write_sketch_file(args.output, merged.to_bytes(header.statistic))
     print(f"merged {len(args.inputs)} sketches")
     return EXIT_OK
 
 
-def _print_signed(est) -> None:
-    print(f"estimate: {est.value:.10g}")
-    print(f"certificate: rho={est.rho:.6g} relative error bound <= {est.error_bound:.6g}")
-    if est.clamped:
-        print(f"warning: negative raw estimate {est.raw:.6g} clamped to 0")
+def _print_estimate(est: float | SignedEstimate) -> None:
+    """Print an estimate, and a signed one's certificate and any clamp."""
+    print(f"estimate: {est.value if isinstance(est, SignedEstimate) else est:.10g}")
+    if isinstance(est, SignedEstimate):
+        print(f"certificate: rho={est.rho:.6g} relative error bound <= {est.error_bound:.6g}")
+        if est.clamped:
+            print(f"warning: negative raw estimate {est.raw:.6g} clamped to 0")
 
 
-def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: float):
-    name = spec.name
-    if name in ("softcap", "moment", "sqrt", "log1p"):
-        print(f"estimate: {pipeline.estimate_combination(inverse_transform(spec)):.10g}")
-    elif name in ("cap", "cap1approx"):
-        signed = _signed_function(spec)
-        plus, minus = (pipeline.estimate_combination(part) for part in (signed.plus, signed.minus))
-        _print_signed(signed_estimate(plus, minus, signed, epsilon))
-    elif name == "distinct":
-        print(f"estimate: {pipeline.estimate_at(float('inf')):.10g}")
-    elif name == "sum":
-        print(f"estimate: {pipeline.sum_counter.value():.10g}")
-    else:
-        raise UnsupportedStatisticError(f"cannot query {spec.descriptor()!r} from a full-range sketch")
+def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: float) -> float | SignedEstimate:
+    """A full-range sketch's estimate of ``spec``, by its measured function unless it is ``distinct`` or ``sum``."""
+    if spec.name == "distinct":
+        return pipeline.estimate_at(inf)
+    if spec.name == "sum":
+        return pipeline.sum_counter.value()
+    a = measured_function(spec)
+    if isinstance(a, SignedCoefficientFunction):
+        return signed_estimate(pipeline.estimate_combination(a.plus), pipeline.estimate_combination(a.minus), a, epsilon)
+    return pipeline.estimate_combination(a)
 
 
 def _cmd_estimate(args) -> int:
     if args.t is not None and not args.t >= 0.0:
         raise ParseError(f"--t must be >= 0, got {args.t}")
-    header, sections = read_sketch_file(args.sketch)
-    cls, head = _route(header.mode, parse_statistic(header.statistic))
-    pipeline = _load(args.sketch, header, sections, cls, head)
+    header, (pipeline,) = _read([args.sketch])
     if header.mode != "fullrange" and (args.stat is not None or args.t is not None):
         raise UnsupportedStatisticError(f"{header.mode} sketches answer only their build statistic")
-    if header.mode == "point":
-        T = parse_statistic(header.statistic).params["T"]
-        print(f"estimate: {T * pipeline.estimate():.10g}")
-    elif header.mode == "combination":
-        print(f"estimate: {pipeline.estimate():.10g}")
-    elif header.mode == "signed":
-        _print_signed(pipeline.estimate())
+    if header.mode == "point":  # the estimate at t times the point mass
+        ((_, mass),) = measured_function(header.statistic).deltas
+        value = mass * pipeline.estimate()
+    elif header.mode != "fullrange":
+        value = pipeline.estimate()
     elif args.t is not None:
-        print(f"estimate: {pipeline.estimate_at(args.t):.10g}")
+        value = pipeline.estimate_at(args.t)
     else:
-        spec = parse_statistic(args.stat if args.stat is not None else header.statistic)
-        _fullrange_query(pipeline, spec, header.epsilon)
+        value = _fullrange_query(pipeline, parse_statistic(args.stat if args.stat is not None else header.statistic), header.epsilon)
+    _print_estimate(value)
     return EXIT_OK
 
 

@@ -3,10 +3,11 @@ mappers and sketches.
 
 Everything here is deterministic given explicit seeds: random draws are
 counter-based (keyed by seed, element ordinal and replica index), never pulled
-from a shared mutable generator, so runs are reproducible and element
-processing can be sharded freely. Each primitive has one form, over numpy
-arrays; the element-at-a-time definitions they are checked against live with
-the tests.
+from a shared mutable generator, so runs are reproducible. Shards that reuse
+ordinals share their draws, so their merge is biased (and not yet refused):
+give shards partition-consistent ordinals. Each primitive has one form, over
+numpy arrays; the element-at-a-time definitions they are checked against live
+with the tests.
 """
 
 from __future__ import annotations

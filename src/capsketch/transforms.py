@@ -43,6 +43,7 @@ __all__ = [
     "capping_transform",
     "cap1_approximation",
     "lift_cap1_to_f",
+    "measured_function",
     "rho_estimate",
     "relative_error_to",
     "THREE_POINT_TIGHT",
@@ -652,3 +653,15 @@ def lift_cap1_to_f(ct: CappingTransform, alpha: SignedCoefficientFunction) -> Si
     signed = SignedCoefficientFunction(plus, minus, 1.0)
     rho = rho_estimate(signed, DEFAULT_RHO_GRID)
     return SignedCoefficientFunction(plus, minus, rho)
+
+
+def measured_function(spec: StatisticSpec | str) -> CoefficientFunction | SignedCoefficientFunction:
+    """The coefficient function a sketch measures for ``spec``: its nonnegative
+    inverse transform, ``cap1approx``'s three-point function as given, or for
+    ``capT`` the stable three-point function lifted through the capping transform."""
+    spec = parse_statistic(spec) if isinstance(spec, str) else spec
+    if spec.name == "cap1approx":
+        return cap1_approximation("three_point", **spec.params)
+    if spec.name == "cap":
+        return lift_cap1_to_f(capping_transform(spec), cap1_approximation("three_point", **THREE_POINT_STABLE))
+    return inverse_transform(spec)

@@ -19,13 +19,13 @@ from capsketch import (
     SumCounter,
 )
 from capsketch import estimators, mappers
-from capsketch.cli import _signed_function, main
+from capsketch.cli import main
 from capsketch.core import base_ranks, hash_key, hash_keys, outkey_block
 from capsketch.estimators import _lookup, _smallest
 from capsketch.mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from capsketch.oracle import zipf_ranks
 from capsketch.sketchfile import unpack
-from capsketch.transforms import inverse_transform, parse_statistic
+from capsketch.transforms import inverse_transform, measured_function, parse_statistic
 from reference import map_full_range, map_point
 from test_estimators import _hash_elements, sidelined
 
@@ -81,7 +81,7 @@ def test_combination_batch_repeated_keys(small_chunks, n, alpha, seed):
 @pytest.mark.parametrize("n,alpha,seed", STREAMS)
 def test_signed_batch_repeated_keys(small_chunks, n, alpha, seed):
     els = zipf_elements(n, alpha, seed)
-    a = _signed_function(parse_statistic("capT=5"))
+    a = measured_function(parse_statistic("capT=5"))
     single, batched = ingest_both(lambda: SignedCombinationPipeline(a, r=7, epsilon=0.3, k=16, seed=seed), els, SIZES)
     assert sidelined(batched) == sidelined(single)
     assert batched.estimate() == single.estimate()
@@ -101,7 +101,7 @@ def test_signed_pipeline_is_two_combination_measurements_of_one_mapping(small_ch
     monkeypatch.setattr(estimators, "full_range_batch", counted)
     els = zipf_elements(400, 1.5, 3)
     k64, vals = _hash_elements(els)
-    a = _signed_function(parse_statistic("capT=5"))
+    a = measured_function(parse_statistic("capT=5"))
 
     def built(cls, f, lo, hi, sizes):
         pipeline = cls(f, r=7, epsilon=0.3, k=16, seed=5, ordinal_base=lo)
@@ -139,7 +139,7 @@ def test_signed_batch_is_summed_once(monkeypatch):
         real(self, values)
 
     monkeypatch.setattr(SumCounter, "update_batch", counted)
-    a = _signed_function(parse_statistic("capT=5"))
+    a = measured_function(parse_statistic("capT=5"))
     rng = np.random.default_rng(11)
     for seed in range(6):
         n = int(rng.integers(1, 300))
@@ -333,7 +333,7 @@ ONE_PART = 1e-308
 
 def _pipelines(ordinal_base=0, seed=0, r=3):
     a = inverse_transform(parse_statistic("sqrt"))
-    signed = _signed_function(parse_statistic("capT=5"))
+    signed = measured_function(parse_statistic("capT=5"))
     return [
         FullRangePipeline(r=r, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),
         CombinationPipeline(a, r=r, epsilon=0.3, k=8, seed=seed, ordinal_base=ordinal_base),

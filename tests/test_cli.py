@@ -10,7 +10,7 @@ from capsketch.cli import main, read_sketch_file
 from capsketch.oracle import exact_statistic
 from capsketch.sketchfile import ENTRY, pack, records
 from capsketch.transforms import parse_statistic
-from test_golden import ROUTES
+from test_golden import CERT, ROUTES, golden_build
 
 
 def run(capsys, *argv):
@@ -169,9 +169,9 @@ def test_merge_builds_the_signed_function_once(capsys, tmp_path, toy_tsv):
         shards.append(str(tmp_path / f"s{base}.fsk"))
         argv = ["build", toy_tsv, "--mode", mode, "--stat", stat, "--r", "2", "--ordinal-base", str(base), "-o", shards[-1]]
         assert run(capsys, *argv)[0] == 0
-    with mock.patch.object(cli, "_signed_function", wraps=cli._signed_function) as signed_function:
+    with mock.patch.object(cli, "measured_function", wraps=cli.measured_function) as measured:
         assert run(capsys, "merge", *shards, "-o", str(tmp_path / "m.fsk"))[0] == 0
-    assert signed_function.call_count == 1
+    assert measured.call_count == 1
 
 
 def test_merged_count_past_the_last_u64_exits_3(capsys, tmp_path, toy_tsv):
@@ -280,10 +280,15 @@ def test_forged_element_count_exits_2(capsys, tmp_path, route, count):
     assert not (tmp_path / "m.fsk").exists()
 
 
-@pytest.mark.parametrize("route,statistic", [("combination", "capT=5"), ("signed", "sqrt")])
+@pytest.mark.parametrize(
+    "route,statistic",
+    [("combination", "capT=5"), ("signed", "sqrt"), ("point", "sqrt"), ("point", "capT=5"), ("point", "sum"),
+     ("combination", "distinct")],
+)
 def test_statistic_of_another_mode_exits_2(capsys, tmp_path, route, statistic):
     # a combination file whose statistic routes to the signed pipeline, and
-    # the reverse; the file keeps a valid CRC
+    # the reverse, and files whose mode cannot measure their statistic at
+    # all; each keeps a valid CRC
     mode, stat = ROUTES[route]
     tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(300)])
     path = str(tmp_path / "x.fsk")
@@ -577,11 +582,49 @@ def test_statistics_out_of_float_range_exit_4(capsys, tmp_path, stat):
     assert run(capsys, "build", tsv, "--mode", "fullrange", "--stat", "sqrt", *sizes, "-o", str(fr))[0] == 0
     for argv in (["build", tsv, "--mode", "combination", "--stat", stat, *sizes, "-o", str(out)],
                  ["build", tsv, "--mode", "point", "--stat", stat, *sizes, "-o", str(out)],
+                 ["build", tsv, "--mode", "fullrange", "--stat", stat, *sizes, "-o", str(out)],
                  ["estimate", str(fr), "--stat", stat]):
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (4, "")
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+STATISTICS = ["capT=5", "softcapT=5", "moment=0.5", "sqrt", "log1p", "distinct", "sum", "cap1approx=A:1.5,b1:0.6,b2:7.97"]
+
+
+@pytest.mark.parametrize(
+    "mode,stat",
+    [("point", stat) for stat in STATISTICS if stat != "softcapT=5"] + [("combination", "distinct"), ("combination", "sum")],
+)
+def test_statistic_a_mode_cannot_measure_exits_4(capsys, tmp_path, toy_tsv, mode, stat):
+    # point mode measures one point mass, and combination mode a coefficient
+    # function, which distinct and sum lack
+    out = tmp_path / "x.fsk"
+    code, stdout, err = run(capsys, "build", toy_tsv, "--mode", mode, "--stat", stat, "-o", str(out))
+    assert (code, stdout) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert mode != "point" or "point mode" in err
+    assert not out.exists()
+
+
+def test_cap1approx_of_the_stable_parameters_is_capT_1(capsys, tmp_path, toy_tsv):
+    # capT=1 lifts the stable three-point function through a cap at 1, which
+    # leaves it as it is: a full-range file answers both alike, and
+    # combination builds of both hold the same sections
+    stable = "cap1approx=A:1.5,b1:0.6,b2:7.97"
+    fr = str(golden_build(tmp_path, "fullrange"))
+    capsys.readouterr()
+    for stat in (stable, "capT=1"):
+        assert run(capsys, "estimate", fr, "--stat", stat) == (0, "estimate: 35.26540493\n" + CERT, "")
+    sections = []
+    for stat in (stable, "capT=1"):
+        out = str(tmp_path / "c.fsk")
+        assert run(capsys, "build", toy_tsv, "--mode", "combination", "--stat", stat, "--r", "5", "-o", out)[0] == 0
+        header, body = read_sketch_file(out)
+        assert (header.mode, header.statistic) == ("signed", stat)
+        sections.append(body)
+    assert sections[0] == sections[1]
 
 
 def test_build_r_auto(capsys, tmp_path, toy_tsv):

@@ -2,9 +2,11 @@
 
 The digests pin the exact file bytes of ``capsketch build`` at the default
 replication, so a change that makes ingestion faster cannot silently change
-what the sketches hold. Update them only together with a file-format change.
-The estimates pin what ``capsketch estimate`` prints for the same builds; no
-change, a file-format change included, may alter them.
+what the sketches hold. The estimates pin what ``capsketch estimate`` prints
+for the same builds. A change may re-pin a digest or an estimate only if it
+changes the file layout or the measurement design (what a mode maps, keeps or
+estimates), and it must declare each re-pin and its cause in CHANGES.md. A
+speedup or a refactor never re-pins.
 """
 
 import hashlib

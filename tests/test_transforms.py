@@ -19,6 +19,7 @@ from capsketch import (
     inverse_transform,
     laplace_c,
     lift_cap1_to_f,
+    measured_function,
     parse_statistic,
     rho_estimate,
 )
@@ -336,6 +337,29 @@ def test_signed_function_disjoint_support():
             CoefficientFunction(deltas=((1.0, 1.0),)),
             CoefficientFunction(deltas=((1.0, 0.5),)),
         )
+
+
+@pytest.mark.parametrize("text", ["softcapT=5", "moment=0.3", "sqrt", "log1p"])
+def test_measured_function_of_a_nonnegative_statistic_is_its_inverse_transform(text):
+    assert measured_function(text) == inverse_transform(text)
+
+
+def test_measured_function_of_hard_capping_is_signed():
+    # cap1approx as given; capT through the stable three-point function, so
+    # capT=1 is the stable cap1approx itself
+    stable = "cap1approx=A:{A:g},b1:{b1:g},b2:{b2:g}".format(**THREE_POINT_STABLE)
+    assert measured_function(stable) == cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tight = "cap1approx=A:{A:g},b1:{b1:g},b2:{b2:g}".format(**THREE_POINT_TIGHT)
+    assert measured_function(tight) == cap1_approximation("three_point", **THREE_POINT_TIGHT)
+    capped = capping_transform("capT=5")
+    assert measured_function("capT=5") == lift_cap1_to_f(capped, cap1_approximation("three_point", **THREE_POINT_STABLE))
+    assert measured_function("capT=1") == measured_function(stable)
+
+
+@pytest.mark.parametrize("text", ["distinct", "sum"])
+def test_distinct_and_sum_have_no_measured_function(text):
+    with pytest.raises(UnsupportedStatisticError):
+        measured_function(text)
 
 
 # ---------------------------------------------------------------------------
