@@ -43,7 +43,6 @@ from .estimators import (
     PointPipeline,
     SignedCombinationPipeline,
     SignedEstimate,
-    signed_estimate,
 )
 from .mappers import choose_replication
 from .oracle import exact_statistic
@@ -232,21 +231,20 @@ def _print_estimate(est: float | SignedEstimate) -> None:
             print(f"warning: negative raw estimate {est.raw:.6g} clamped to 0")
 
 
-def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec, epsilon: float) -> float | SignedEstimate:
+def _fullrange_query(pipeline: FullRangePipeline, spec: StatisticSpec) -> float | SignedEstimate:
     """A full-range sketch's estimate of ``spec``, by its measured function unless it is ``distinct`` or ``sum``."""
     if spec.name == "distinct":
         return pipeline.estimate_at(inf)
     if spec.name == "sum":
         return pipeline.sum_counter.value()
-    a = measured_function(spec)
-    if isinstance(a, SignedCoefficientFunction):
-        return signed_estimate(pipeline.estimate_combination(a.plus), pipeline.estimate_combination(a.minus), a, epsilon)
-    return pipeline.estimate_combination(a)
+    return pipeline.estimate_combination(measured_function(spec))
 
 
 def _cmd_estimate(args) -> int:
     if args.t is not None and not args.t >= 0.0:
         raise ParseError(f"--t must be >= 0, got {args.t}")
+    if args.t is not None and args.stat is not None:
+        raise ParseError("--t queries the transform, not a statistic; give --stat or --t, not both")
     header, (pipeline,) = _read([args.sketch])
     if header.mode != "fullrange" and (args.stat is not None or args.t is not None):
         raise UnsupportedStatisticError(f"{header.mode} sketches answer only their build statistic")
@@ -258,7 +256,7 @@ def _cmd_estimate(args) -> int:
     elif args.t is not None:
         value = pipeline.estimate_at(args.t)
     else:
-        value = _fullrange_query(pipeline, parse_statistic(args.stat if args.stat is not None else header.statistic), header.epsilon)
+        value = _fullrange_query(pipeline, parse_statistic(args.stat if args.stat is not None else header.statistic))
     _print_estimate(value)
     return EXIT_OK
 

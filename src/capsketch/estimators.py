@@ -1,10 +1,11 @@
 """End-to-end measurement pipelines.
 
 Each pipeline owns the sketches for one measurement mode and the exact sum of
-element values. Estimates follow a common shape: when the sketch has seen
-enough distinct output keys (at least 3/epsilon^2) its estimate divided by the
-replication r is returned; below that the transform is in its linear regime
-and t * SUM is the better answer.
+element values. One rule decides every estimate of the transform at t: the
+sketch's estimate over the replication r answers where its distinct-output
+estimate reaches 3/epsilon^2, or from the largest threshold the sketch resolves
+on (a full-range sketch's largest stored draw, 0 when empty; a point sketch's
+inf); below, the transform is in its linear regime and t * SUM answers.
 
 Pipelines are single-writer; ``merge`` is pure, takes any number of
 pipelines and returns a new one, merging each sketch once.
@@ -114,6 +115,26 @@ class _Pipeline:
     def gate(self) -> float:
         """Minimum distinct-output estimate for the sketch path: 3/epsilon^2."""
         return 3.0 * self.epsilon**-2
+
+    def _sketch_answers(self, t, raw, resolved: float = inf):
+        """Where the sketch answers the transform at thresholds ``t``, given its
+        raw distinct-output estimates there: where ``raw`` reaches the gate or
+        ``t`` the largest threshold the sketch resolves. Elsewhere t * SUM does."""
+        return (raw >= self.gate) | (t >= resolved)
+
+    def _transform_at(self, t: float, raw: float, resolved: float = inf) -> float:
+        return raw / self.r if self._sketch_answers(t, raw, resolved) else t * self.sum_counter.value()
+
+    @staticmethod
+    def _parts(a) -> list:
+        """The coefficient functions measured for ``a``: a signed function's
+        positive and negative part, or ``a`` itself."""
+        return [a.plus, a.minus] if isinstance(a, SignedCoefficientFunction) else [a]
+
+    def _statistic(self, a, values: list[float]):
+        """The statistic of ``a`` from its ``_parts``' values: a nonnegative
+        function's one value, or the two parts' ``signed_estimate``."""
+        return values[0] if len(values) == 1 else signed_estimate(*values, a, self.epsilon)
 
     def ingest(self, e: Element) -> None:
         e = e if isinstance(e, Element) else Element(*e)
@@ -226,12 +247,8 @@ class PointPipeline(_Pipeline):
         return out
 
     def estimate(self) -> float:
-        """Estimate of the transform at t, falling back to t * SUM when the
-        distinct-output estimate is below 3/epsilon^2."""
-        d = self.counter.estimate()
-        if d >= self.gate:
-            return d / self.r
-        return self.t * self.sum_counter.value()
+        """Estimate of the transform at t (``_sketch_answers``)."""
+        return self._transform_at(self.t, self.counter.estimate())
 
     def _sketch_sections(self) -> list[bytes]:
         return [self.counter.to_bytes()]
@@ -321,24 +338,18 @@ class CombinationPipeline(_Pipeline):
         """Current adaptive cutoff: the largest sidelined draw."""
         return float(self.sidelined_draws.max()) if self.sidelined_draws.size else 0.0
 
-    def _estimates(self) -> list[float]:
-        """Each measured function's estimate, without mutating: the sidelined
-        keys are fed at the cutoff's tail value into a copy of its sketch, and
-        the head is covered by the sum."""
-        if self.sidelined_keys.size == 0:
-            return [0.0] * len(self.measured)
-        tau, total, out = self.tau(), self.sum_counter.value(), []
+    def estimate(self) -> float | SignedEstimate:
+        """The statistic of each measured function's value, without mutating:
+        the sidelined keys are fed at the cutoff's tail value into a copy of its
+        sketch, and the head is covered by the sum."""
+        tau, total, values = self.tau(), self.sum_counter.value(), []
         for f, sketch in zip(self.measured, self.max_sketches):
             fed = sketch.merge()
             v = float(f.tail(tau))
             if v > 0.0:
                 fed.update_batch(self.sidelined_keys, np.full(len(self.sidelined_keys), v))
-            out.append(fed.estimate() / self.r + total * float(f.head(tau)))
-        return out
-
-    def estimate(self) -> float:
-        (value,) = self._estimates()
-        return value
+            values.append(fed.estimate() / self.r + total * float(f.head(tau)))
+        return self._statistic(self.a, values)
 
     def _sketch_sections(self) -> list[bytes]:
         """The sidelined (outkey, draw) records, then each max-distinct sketch."""
@@ -385,28 +396,22 @@ class FullRangePipeline(_Pipeline):
         return out
 
     def estimate_at(self, t: float) -> float:
-        """Point estimate at threshold t with the t * SUM fallback.
-
-        Beyond the largest stored draw the sketch covers everything it will
-        ever cover, so the sketch value is used there regardless of the gate
-        (t * SUM grows without bound and stops being meaningful).
-        """
+        """Estimate of the transform at t; from the largest stored draw on (0 if
+        empty) the sketch holds all it ever will, and t * SUM grows without bound."""
         if not t >= 0.0:
             raise ValueError(f"threshold t must be >= 0, got {t}")
-        raw = self.threshold_sketch.estimate_at(t)
         bp = self.threshold_sketch.breakpoints()
-        if raw >= self.gate or (bp.size and t >= bp[-1]):
-            return raw / self.r
-        return t * self.sum_counter.value()
+        return self._transform_at(t, self.threshold_sketch.estimate_at(t), bp[-1] if bp.size else 0.0)
 
-    def estimate_combination(self, a: CoefficientFunction) -> float:
-        """Integral of the coefficient function against the threshold profile.
+    def estimate_combination(self, a: CoefficientFunction | SignedCoefficientFunction) -> float | SignedEstimate:
+        """The statistic of a coefficient function's integral against the
+        threshold profile, or of a signed one's two parts' integrals. Point
+        masses are point queries; continuous parts integrate the step profile
+        in closed form through tail-integral differences, and below the first
+        breakpoint where the sketch answers, t * SUM (head integral times the sum)."""
+        return self._statistic(a, [self._integral(f) for f in self._parts(a)])
 
-        Point masses are exact point queries; continuous parts integrate the
-        step-function profile in closed form through tail-integral
-        differences, with the region below the fallback crossing covered by
-        t * SUM (head integral times the exact sum).
-        """
+    def _integral(self, a: CoefficientFunction) -> float:
         total = 0.0
         for loc, mass in a.deltas:
             total += mass * self.estimate_at(loc)
@@ -416,8 +421,7 @@ class FullRangePipeline(_Pipeline):
             if ys.size == 0:
                 return total
             raw = self.threshold_sketch.estimate_all(ys)
-            above = np.nonzero(raw >= self.gate)[0]
-            start = int(above[0]) if above.size else len(ys) - 1
+            start = int(np.argmax(self._sketch_answers(ys, raw, ys[-1])))  # true at the largest draw
             total += self.sum_counter.value() * float(cont.head(ys[start]))
             tails = np.asarray(cont.tail(ys[start:]), dtype=np.float64)
             seg = tails.copy()
@@ -482,10 +486,7 @@ class SignedCombinationPipeline(CombinationPipeline):
     def _measured(a: SignedCoefficientFunction) -> list[CoefficientFunction]:
         if a.minus.is_empty:
             raise ValueError("signed pipeline needs a nonempty negative part; use CombinationPipeline")
-        return [a.plus, a.minus]
+        return _Pipeline._parts(a)
 
     ingest_batch = _Pipeline.ingest_batch
     merge = CombinationPipeline.merge
-
-    def estimate(self) -> SignedEstimate:
-        return signed_estimate(*self._estimates(), self.a, self.epsilon)

@@ -443,13 +443,31 @@ def test_fullrange_multi_query(capsys, tmp_path, toy_tsv, toy_dist):
     assert first_number(stdout, "estimate") > 0
 
 
+EMPTY_QUERIES = [(), ("--stat", "distinct"), ("--t", "inf"), ("--t", "0.5"), ("--stat", "sqrt"), ("--stat", "log1p"),
+                 ("--stat", "capT=5"), ("--stat", "softcapT=1"), ("--stat", "sum")]
+
+
 def test_estimate_empty_sketch(capsys, tmp_path):
+    # every answer of a file built from no input is 0 in every mode, full-range
+    # queries at t = inf included (t * SUM there would be inf * 0)
     empty_tsv = write_tsv(tmp_path / "e.tsv", [])
     out = tmp_path / "e.fsk"
-    run(capsys, "build", str(empty_tsv), "--stat", "softcapT=1", "--mode", "point", "-o", str(out))
-    code, stdout, _ = run(capsys, "estimate", str(out))
-    assert code == 0
-    assert first_number(stdout, "estimate") == 0.0
+    for mode, stat in ROUTES.values():
+        assert run(capsys, "build", str(empty_tsv), "--stat", stat, "--mode", mode, "-o", str(out))[0] == 0
+        for query in EMPTY_QUERIES if mode == "fullrange" else [()]:
+            code, stdout, _ = run(capsys, "estimate", str(out), *query)
+            assert (code, stdout.splitlines()[0]) == (0, "estimate: 0"), (mode, stat, query)
+
+
+def test_stat_with_t_exits_2(capsys, tmp_path, toy_tsv):
+    # --t asks for the transform, --stat for a statistic; the pair is refused
+    # before the file is read, so a missing file gets the same answer
+    fr = tmp_path / "fr.fsk"
+    run(capsys, "build", toy_tsv, "--stat", "softcapT=1", "--mode", "fullrange", "--r", "5", "-o", str(fr))
+    for path in (str(fr), str(tmp_path / "missing.fsk")):
+        code, stdout, err = run(capsys, "estimate", path, "--stat", "sqrt", "--t", "2")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: --t ") and err.count("\n") == 1
 
 
 def test_parse_errors(capsys, tmp_path):

@@ -77,6 +77,19 @@ def test_point_exact_regime(toy_elements):
     assert p.estimate() == 13.0
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_point_at_inf_equals_full_range_at_inf(n):
+    # at t = inf every replica fires and the full-range sketch holds every
+    # draw, so both answer from the sketch: 0 when empty, the distinct keys
+    # otherwise (t * SUM would be inf * 0, or inf)
+    k64, vals = _hash_elements([Element(b"k%d" % i, 1.0) for i in range(n)])
+    p = PointPipeline(math.inf, r=1, epsilon=0.1, k=100, seed=0)
+    fr = FullRangePipeline(r=1, epsilon=0.1, k=100, seed=0)
+    for pipe in (p, fr):
+        pipe.ingest_batch(k64, vals)
+    assert p.estimate() == fr.estimate_at(math.inf) == float(n)
+
+
 def test_point_scalar_batch_equivalence(toy_elements):
     a = PointPipeline(t=1.0, r=7, epsilon=0.5, k=32, seed=9)
     for e in toy_elements:
@@ -424,7 +437,12 @@ def test_signed_pipeline_certificate_holds():
     f_plus = float(np.dot(cs, tp.plus.lapm(ws)))
     f_minus = float(np.dot(cs, tp.minus.lapm(ws)))
     f_signed = f_plus - f_minus
-    plus, minus = pipe._estimates()
+    # each part's estimate is that of a combination pipeline of the part alone
+    parts = [CombinationPipeline(f, r=10, epsilon=0.2, k=50_000, seed=3) for f in (tp.plus, tp.minus)]
+    for part in parts:
+        part.ingest_batch(k64, vals)
+    plus, minus = (part.estimate() for part in parts)
+    assert est.raw == plus - minus
     eps_p = abs(plus - f_plus) / f_plus
     eps_m = abs(minus - f_minus) / f_minus
     assert abs(est.value - f_signed) / f_signed <= tp.rho_bound * (eps_p + eps_m) + 1e-9

@@ -99,3 +99,47 @@ def test_golden_estimates(tmp_path, route):
         with redirect_stdout(out):
             assert main(["estimate", str(path), *args]) == 0
         assert out.getvalue() == expected, args
+
+
+# Full stdout of `capsketch estimate` on small r=1 builds, where the estimate
+# is t * SUM, the sketch, or both on either side of the crossing: 40 elements
+# of 36 keys, far below the gate at the default epsilon (3/0.1^2 = 300
+# distinct outputs) and across it at epsilon 0.5 (gate 12, k 64 keeps every
+# output). Keyed by (build options, --mode, --stat, query arguments).
+SMALL = ()
+CROSSING = ("--epsilon", "0.5", "--k", "64")
+FALLBACK_ESTIMATES = {
+    (SMALL, "point", "softcapT=1", ()): "estimate: 58.5\n",
+    (SMALL, "point", "softcapT=50", ()): "estimate: 58.5\n",
+    (SMALL, "fullrange", "softcapT=5", ("--t", "0.02")): "estimate: 1.17\n",
+    (SMALL, "fullrange", "softcapT=5", ("--t", "1")): "estimate: 58.5\n",
+    (SMALL, "fullrange", "softcapT=5", ("--stat", "softcapT=50")): "estimate: 58.5\n",
+    (SMALL, "fullrange", "softcapT=5", ("--stat", "sqrt")): "estimate: 99.43728484\n",
+    (SMALL, "fullrange", "softcapT=5", ("--stat", "capT=5")): "estimate: 58.5\n" + CERT,
+    (SMALL, "fullrange", "softcapT=5", ("--stat", "distinct")): "estimate: 36\n",
+    (SMALL, "fullrange", "softcapT=5", ("--stat", "sum")): "estimate: 58.5\n",
+    (CROSSING, "point", "softcapT=1", ()): "estimate: 29\n",
+    (CROSSING, "point", "softcapT=50", ()): "estimate: 58.5\n",
+    (CROSSING, "fullrange", "softcapT=5", ("--t", "0.02")): "estimate: 1.17\n",
+    (CROSSING, "fullrange", "softcapT=5", ("--t", "1")): "estimate: 29\n",
+    (CROSSING, "fullrange", "softcapT=5", ("--stat", "softcapT=50")): "estimate: 58.5\n",
+    (CROSSING, "fullrange", "softcapT=5", ("--stat", "sqrt")): "estimate: 45.94119958\n",
+    (CROSSING, "fullrange", "softcapT=5", ("--stat", "capT=5")): (
+        "estimate: 84.2458616\ncertificate: rho=2.5 relative error bound <= 2.5\n"
+    ),
+    (CROSSING, "fullrange", "softcapT=5", ("--stat", "distinct")): "estimate: 36\n",
+    (CROSSING, "fullrange", "softcapT=5", ("--stat", "sum")): "estimate: 58.5\n",
+}
+
+
+def test_fallback_estimates(tmp_path):
+    tsv = tmp_path / "small.tsv"
+    tsv.write_text("".join(f"k{i % 36}\t{0.25 + (i * 37 % 11) / 4}\n" for i in range(40)))
+    for (size, mode, stat, args), expected in FALLBACK_ESTIMATES.items():
+        path = tmp_path / "small.fsk"
+        out = io.StringIO()
+        with redirect_stdout(io.StringIO()):
+            assert main(["build", str(tsv), "--mode", mode, "--stat", stat, "--r", "1", *size, "-o", str(path)]) == 0
+        with redirect_stdout(out):
+            assert main(["estimate", str(path), *args]) == 0
+        assert out.getvalue() == expected, (size, mode, stat, args)
