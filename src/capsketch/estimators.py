@@ -103,6 +103,8 @@ class _Pipeline:
     def __init__(self, r: int, epsilon: float, k: int, seed: int, ordinal_base: int):
         if not MIN_EPSILON <= epsilon < 1.0:
             raise ValueError(f"error target must be in [{MIN_EPSILON:g}, 1), got {epsilon}")
+        if not r >= 1:
+            raise ValueError(f"replication r must be >= 1, got {r}")
         self.r = int(r)
         self.epsilon = float(epsilon)
         self.k = int(k)

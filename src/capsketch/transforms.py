@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import e as _E
 from math import factorial, gamma
 from typing import Callable
 
@@ -520,19 +519,20 @@ def capping_transform(spec: StatisticSpec | str) -> CappingTransform:
 
 @dataclass(frozen=True)
 class SignedCoefficientFunction:
-    """a = plus - minus with disjoint discrete support, plus a certified
-    stability factor bounding how much component errors can amplify."""
+    """a = plus - minus, with point masses at disjoint locations, and its
+    stability factor ``rho_bound``: how much component errors can amplify,
+    certified on ``DEFAULT_RHO_GRID`` when the function is made, so an
+    ill-posed pair raises ``IllPosedTransformError`` here."""
 
     plus: CoefficientFunction
     minus: CoefficientFunction
-    rho_bound: float = 1.0
+    rho_bound: float = field(init=False)
 
     def __post_init__(self):
         shared = {loc for loc, _ in self.plus.deltas} & {loc for loc, _ in self.minus.deltas}
         if shared:
             raise ValueError(f"plus and minus parts share delta locations {sorted(shared)}")
-        if self.rho_bound < 1.0:
-            raise ValueError(f"stability factor is always >= 1, got {self.rho_bound}")
+        object.__setattr__(self, "rho_bound", rho_estimate(self, DEFAULT_RHO_GRID))
 
     @property
     def is_discrete(self) -> bool:
@@ -580,44 +580,21 @@ def relative_error_to(a: SignedCoefficientFunction, f: Callable, w_grid) -> floa
 THREE_POINT_TIGHT = {"A": 10.0, "b1": 0.9, "b2": 3.75}
 THREE_POINT_STABLE = {"A": 1.5, "b1": 0.6, "b2": 7.97}
 
-_SCALED_SOFT_MASS = 2.0 * _E / (2.0 * _E - 1.0)
 
-
-def cap1_approximation(
-    variant: str,
-    A: float | None = None,
-    b1: float | None = None,
-    b2: float | None = None,
-) -> SignedCoefficientFunction:
-    """Signed approximate inverse transform of min(1, w).
-
-    Variants: ``soft`` (single point mass, 37% worst-case error vanishing at
-    the extremes), ``scaled_soft`` (23% error spread everywhere), and
-    ``three_point`` with masses (A+1, -a1, -a2) at (1, b1, b2) chosen so the
-    approximation is exact to first order at both ends:
-    a1 = A(b2-1)/(b2-b1), a2 = A(1-b1)/(b2-b1).
+def cap1_approximation(A: float, b1: float, b2: float) -> SignedCoefficientFunction:
+    """Three-point signed approximate inverse transform of min(1, w): masses
+    (A+1, -a1, -a2) at (1, b1, b2), chosen so the approximation is exact to
+    first order at both ends: a1 = A(b2-1)/(b2-b1), a2 = A(1-b1)/(b2-b1).
     """
-    if variant == "soft":
-        plus = CoefficientFunction(deltas=((1.0, 1.0),))
-        return SignedCoefficientFunction(plus, CoefficientFunction(), 1.0)
-    if variant == "scaled_soft":
-        plus = CoefficientFunction(deltas=((1.0, _SCALED_SOFT_MASS),))
-        return SignedCoefficientFunction(plus, CoefficientFunction(), 1.0)
-    if variant == "three_point":
-        if A is None or b1 is None or b2 is None:
-            raise ValueError("three_point requires A, b1 and b2")
-        if not (0.0 < b1 < 1.0 < b2):
-            raise ValueError(f"three_point needs 0 < b1 < 1 < b2, got b1={b1} b2={b2}")
-        if not A > 0.0:
-            raise ValueError(f"three_point needs A > 0, got {A}")
-        a1 = A * (b2 - 1.0) / (b2 - b1)
-        a2 = A * (1.0 - b1) / (b2 - b1)
-        plus = CoefficientFunction(deltas=((1.0, A + 1.0),))
-        minus = CoefficientFunction(deltas=((b1, a1), (b2, a2)))
-        signed = SignedCoefficientFunction(plus, minus, 1.0)
-        rho = rho_estimate(signed, DEFAULT_RHO_GRID)
-        return SignedCoefficientFunction(plus, minus, rho)
-    raise ValueError(f"unknown cap1 approximation variant {variant!r}")
+    if not (0.0 < b1 < 1.0 < b2):
+        raise ValueError(f"cap1_approximation needs 0 < b1 < 1 < b2, got b1={b1} b2={b2}")
+    if not A > 0.0:
+        raise ValueError(f"cap1_approximation needs A > 0, got {A}")
+    a1 = A * (b2 - 1.0) / (b2 - b1)
+    a2 = A * (1.0 - b1) / (b2 - b1)
+    plus = CoefficientFunction(deltas=((1.0, A + 1.0),))
+    minus = CoefficientFunction(deltas=((b1, a1), (b2, a2)))
+    return SignedCoefficientFunction(plus, minus)
 
 
 def _lift_side(side: CoefficientFunction, ct: CappingTransform) -> CoefficientFunction:
@@ -648,11 +625,7 @@ def lift_cap1_to_f(ct: CappingTransform, alpha: SignedCoefficientFunction) -> Si
         raise UnsupportedStatisticError(
             "statistics with a linear component should estimate that part by the exact sum"
         )
-    plus = _lift_side(alpha.plus, ct)
-    minus = _lift_side(alpha.minus, ct)
-    signed = SignedCoefficientFunction(plus, minus, 1.0)
-    rho = rho_estimate(signed, DEFAULT_RHO_GRID)
-    return SignedCoefficientFunction(plus, minus, rho)
+    return SignedCoefficientFunction(_lift_side(alpha.plus, ct), _lift_side(alpha.minus, ct))
 
 
 def measured_function(spec: StatisticSpec | str) -> CoefficientFunction | SignedCoefficientFunction:
@@ -661,7 +634,7 @@ def measured_function(spec: StatisticSpec | str) -> CoefficientFunction | Signed
     ``capT`` the stable three-point function lifted through the capping transform."""
     spec = parse_statistic(spec) if isinstance(spec, str) else spec
     if spec.name == "cap1approx":
-        return cap1_approximation("three_point", **spec.params)
+        return cap1_approximation(**spec.params)
     if spec.name == "cap":
-        return lift_cap1_to_f(capping_transform(spec), cap1_approximation("three_point", **THREE_POINT_STABLE))
+        return lift_cap1_to_f(capping_transform(spec), cap1_approximation(**THREE_POINT_STABLE))
     return inverse_transform(spec)

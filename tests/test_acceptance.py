@@ -145,8 +145,8 @@ def test_criterion_4_combination_unbiasedness():
 def test_criterion_5_three_point_bounds():
     start = time.time()
     cap1 = lambda w: np.minimum(1.0, w)
-    tight = cap1_approximation("three_point", **THREE_POINT_TIGHT)
-    stable = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tight = cap1_approximation(**THREE_POINT_TIGHT)
+    stable = cap1_approximation(**THREE_POINT_STABLE)
     err_tight = relative_error_to(tight, cap1, CAP1_ERROR_GRID)
     err_stable = relative_error_to(stable, cap1, CAP1_ERROR_GRID)
     rho_tight = rho_estimate(tight, DEFAULT_RHO_GRID)

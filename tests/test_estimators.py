@@ -15,6 +15,7 @@ from capsketch import (
     Element,
     FrequencyDistribution,
     FullRangePipeline,
+    IllPosedTransformError,
     IncompatibleSketchError,
     MapperConfig,
     ParseError,
@@ -28,6 +29,7 @@ from capsketch import (
     inverse_transform,
     laplace_c,
     lift_cap1_to_f,
+    measured_function,
     signed_estimate,
     THREE_POINT_STABLE,
 )
@@ -203,13 +205,15 @@ def test_combination_rejects_divergent_head():
     with pytest.raises(ValueError, match="finite head"):
         CombinationPipeline(divergent, r=1, epsilon=0.5, k=8, seed=0)
     # a signed pipeline checks each of its parts, and needs a negative one
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     with pytest.raises(TypeError):
         SignedCombinationPipeline(SimpleNamespace(plus="sqrt", minus=tp.minus), r=1, epsilon=0.5, k=8, seed=0)
-    with pytest.raises(ValueError, match="finite head"):
-        SignedCombinationPipeline(SignedCoefficientFunction(divergent, tp.minus), r=1, epsilon=0.5, k=8, seed=0)
+    # a divergent part is refused where the signed function is made
+    with pytest.raises(IllPosedTransformError):
+        SignedCoefficientFunction(divergent, tp.minus)
+    soft = SignedCoefficientFunction(CoefficientFunction(deltas=((1.0, 1.0),)), CoefficientFunction())
     with pytest.raises(ValueError, match="negative part"):
-        SignedCombinationPipeline(cap1_approximation("soft"), r=1, epsilon=0.5, k=8, seed=0)
+        SignedCombinationPipeline(soft, r=1, epsilon=0.5, k=8, seed=0)
 
 
 def test_combination_fixed_cutoff_unbiased():
@@ -242,7 +246,7 @@ def test_one_merge_of_many_combination_shards(signed):
     # one merge of 4 shards keeps the fold's and the single pass's sidelined
     # keys and estimate, and its bytes do not depend on the order of its inputs
     if signed:
-        a, cls = cap1_approximation("three_point", **THREE_POINT_STABLE), SignedCombinationPipeline
+        a, cls = cap1_approximation(**THREE_POINT_STABLE), SignedCombinationPipeline
     else:
         a, cls = inverse_transform(StatisticSpec("moment", {"p": 0.5})), CombinationPipeline
     els = _random_elements(np.random.default_rng(8), 400, 70)
@@ -388,11 +392,11 @@ def test_full_range_merge(toy_elements):
 
 
 def test_signed_estimate_passthrough_and_clamp():
-    nonneg = cap1_approximation("soft")
+    nonneg = SignedCoefficientFunction(CoefficientFunction(deltas=((1.0, 1.0),)), CoefficientFunction())
     est = signed_estimate(5.0, 0.0, nonneg, 0.1)
     assert est.value == 5.0 and est.rho == 1.0 and not est.clamped
     assert est.error_bound == pytest.approx(0.2)
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     est = signed_estimate(1.0, 2.5, tp, 0.1)
     assert est.clamped and est.value == 0.0 and est.raw == -1.5
     assert est.error_bound == pytest.approx(tp.rho_bound * 0.2)
@@ -400,7 +404,7 @@ def test_signed_estimate_passthrough_and_clamp():
 
 def test_signed_exact_measurement_cap1(toy_dist):
     # exact component measurements: the error is the approximation error alone
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     ws, cs = toy_dist.arrays()
     plus = float(np.dot(cs, tp.plus.lapm(ws)))
     minus = float(np.dot(cs, tp.minus.lapm(ws)))
@@ -411,7 +415,7 @@ def test_signed_exact_measurement_cap1(toy_dist):
 
 
 def test_signed_exact_measurement_lifted_cap5(toy_dist):
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     lifted = lift_cap1_to_f(capping_transform(StatisticSpec("cap", {"T": 5.0})), tp)
     ws, cs = toy_dist.arrays()
     plus = float(np.dot(cs, lifted.plus.lapm(ws)))
@@ -425,7 +429,7 @@ def test_signed_exact_measurement_lifted_cap5(toy_dist):
 def test_signed_pipeline_certificate_holds():
     rng = np.random.default_rng(21)
     els = _random_elements(rng, 1500, 200, lo=0.2, hi=3.0)
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     pipe = SignedCombinationPipeline(tp, r=10, epsilon=0.2, k=50_000, seed=3)
     k64, vals = _hash_elements(els)
     pipe.ingest_batch(k64, vals)
@@ -451,7 +455,7 @@ def test_signed_pipeline_certificate_holds():
 def test_signed_pipeline_round_trip_and_merge():
     rng = np.random.default_rng(30)
     els = _random_elements(rng, 200, 50)
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     pipe = SignedCombinationPipeline(tp, r=2, epsilon=0.4, k=32, seed=3)
     k64, vals = _hash_elements(els)
     pipe.ingest_batch(k64, vals)
@@ -465,6 +469,39 @@ def test_signed_pipeline_round_trip_and_merge():
     left.ingest_batch(k64[:120], vals[:120])
     right.ingest_batch(k64[120:], vals[120:])
     assert left.merge(right).estimate() == pipe.estimate()
+
+
+def test_rebuilt_signed_function_carries_its_own_certificate():
+    # a signed function made from the parts of capT=5's measured function is
+    # that function, certificate included: rho 2.5, error bound 2.5 * 2 * 0.1
+    a = measured_function("capT=5")
+    rebuilt = SignedCoefficientFunction(a.plus, a.minus)
+    assert rebuilt == a
+    assert rebuilt.rho_bound == 2.5
+    with pytest.raises(TypeError):
+        SignedCoefficientFunction(a.plus, a.minus, 1.0)
+    els = _random_elements(np.random.default_rng(4), 300, 60)
+    k64, vals = _hash_elements(els)
+    estimates = []
+    for f in (a, rebuilt):
+        pipe = SignedCombinationPipeline(f, r=2, epsilon=0.1, k=32, seed=1)
+        pipe.ingest_batch(k64, vals)
+        estimates.append(pipe.estimate())
+    assert estimates[0] == estimates[1]
+    assert estimates[1].rho == a.rho_bound
+    assert estimates[1].error_bound == pytest.approx(a.rho_bound * 0.2)
+
+
+@pytest.mark.parametrize("r", [0, -1, 0.5])
+def test_every_pipeline_refuses_replication_below_one(r):
+    for make in (
+        lambda: PointPipeline(1.0, r=r, epsilon=0.5, k=8),
+        lambda: CombinationPipeline(inverse_transform("sqrt"), r=r, epsilon=0.5, k=8),
+        lambda: SignedCombinationPipeline(cap1_approximation(**THREE_POINT_STABLE), r=r, epsilon=0.5, k=8),
+        lambda: FullRangePipeline(r=r, epsilon=0.5, k=8),
+    ):
+        with pytest.raises(ValueError, match="replication r"):
+            make()
 
 
 def test_pipeline_serialization_round_trips(toy_elements):
@@ -509,7 +546,7 @@ def test_every_written_combination_file_reads_back(data, signed, epsilon, r, k, 
     # their one-call merge, pass the read checks and write the same bytes
     # back; ell = ceil(3/epsilon^2) is at most 12, so the max-distinct sketch fills
     if signed:
-        cls, a = SignedCombinationPipeline, cap1_approximation("three_point", **THREE_POINT_STABLE)
+        cls, a = SignedCombinationPipeline, cap1_approximation(**THREE_POINT_STABLE)
     else:
         cls, a = CombinationPipeline, inverse_transform("sqrt")
     rows = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.25, 1.0, 3.5, 40.0])), max_size=150))

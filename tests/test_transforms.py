@@ -246,13 +246,12 @@ def test_capping_transform_slope_at_zero(spec, _):
 
 
 def test_cap1_soft_variants():
-    soft = cap1_approximation("soft")
-    assert soft.plus.deltas == ((1.0, 1.0),)
-    assert soft.minus.is_empty
-    assert soft.rho_bound == 1.0
-    scaled = cap1_approximation("scaled_soft")
+    # one point mass at 1: mass 1 (soft) or 2e/(2e-1) (scaled soft); with no
+    # negative part each certifies rho = 1
+    soft = SignedCoefficientFunction(CoefficientFunction(deltas=((1.0, 1.0),)), CoefficientFunction())
     mass = 2 * math.e / (2 * math.e - 1)
-    assert scaled.plus.deltas == ((1.0, mass),)
+    scaled = SignedCoefficientFunction(CoefficientFunction(deltas=((1.0, mass),)), CoefficientFunction())
+    assert soft.rho_bound == scaled.rho_bound == 1.0
     # scaling trades the vanishing error at the extremes for a lower worst case;
     # the analytic maxima are 1/e and 1/(2e-1), certified here on a grid
     grid = np.append(CAP1_ERROR_GRID, 1.0)
@@ -263,7 +262,7 @@ def test_cap1_soft_variants():
 
 
 def test_three_point_coefficients():
-    tp = cap1_approximation("three_point", A=1.5, b1=0.6, b2=7.97)
+    tp = cap1_approximation(A=1.5, b1=0.6, b2=7.97)
     ((_, a_plus),) = tp.plus.deltas
     (b1, a1), (b2, a2) = tp.minus.deltas
     assert a_plus == 2.5
@@ -275,7 +274,7 @@ def test_three_point_coefficients():
 
 @pytest.mark.parametrize("params", [THREE_POINT_TIGHT, THREE_POINT_STABLE], ids=["tight", "stable"])
 def test_three_point_moment_conditions(params):
-    tp = cap1_approximation("three_point", **params)
+    tp = cap1_approximation(**params)
     mass = sum(m for _, m in tp.plus.deltas) - sum(m for _, m in tp.minus.deltas)
     first = sum(t * m for t, m in tp.plus.deltas) - sum(t * m for t, m in tp.minus.deltas)
     assert mass == pytest.approx(1.0, abs=1e-12)
@@ -284,51 +283,46 @@ def test_three_point_moment_conditions(params):
 
 def test_three_point_error_and_stability():
     cap1 = lambda w: np.minimum(1.0, w)
-    tight = cap1_approximation("three_point", **THREE_POINT_TIGHT)
+    tight = cap1_approximation(**THREE_POINT_TIGHT)
     assert relative_error_to(tight, cap1, CAP1_ERROR_GRID) <= 0.12
     assert tight.rho_bound <= 12.4
-    stable = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    stable = cap1_approximation(**THREE_POINT_STABLE)
     assert relative_error_to(stable, cap1, CAP1_ERROR_GRID) <= 0.15
     assert stable.rho_bound <= 2.9
 
 
 def test_three_point_rejects_degenerate():
     with pytest.raises(ValueError):
-        cap1_approximation("three_point", A=1.0, b1=0.9, b2=0.9)
+        cap1_approximation(A=1.0, b1=0.9, b2=0.9)
     with pytest.raises(ValueError):
-        cap1_approximation("three_point", A=-1.0, b1=0.5, b2=2.0)
-    with pytest.raises(ValueError):
-        cap1_approximation("nope")
-    with pytest.raises(ValueError):
-        cap1_approximation("three_point", A=1.0, b1=0.5, b2=None)
+        cap1_approximation(A=-1.0, b1=0.5, b2=2.0)
 
 
 def test_rho_estimate_basics():
-    tp = cap1_approximation("three_point", **THREE_POINT_TIGHT)
+    tp = cap1_approximation(**THREE_POINT_TIGHT)
     rho = rho_estimate(tp, DEFAULT_RHO_GRID)
     assert 1.0 <= rho <= 12.4
-    nonneg = cap1_approximation("soft")
+    nonneg = SignedCoefficientFunction(CoefficientFunction(deltas=((1.0, 1.0),)), CoefficientFunction())
     assert rho_estimate(nonneg, DEFAULT_RHO_GRID) == 1.0
     with pytest.raises(ValueError):
         rho_estimate(tp, [])
     with pytest.raises(ValueError):
         rho_estimate(tp, np.logspace(0, 2, 10))  # only two decades
-    bad = SignedCoefficientFunction(
-        CoefficientFunction(deltas=((1.0, 1.0),)),
-        CoefficientFunction(deltas=((0.5, 2.5),)),
-    )
+    # an ill-posed pair is refused where it is made
     with pytest.raises(IllPosedTransformError):
-        rho_estimate(bad, DEFAULT_RHO_GRID)
+        SignedCoefficientFunction(
+            CoefficientFunction(deltas=((1.0, 1.0),)),
+            CoefficientFunction(deltas=((0.5, 2.5),)),
+        )
 
 
 def test_rho_estimate_rejects_non_finite_transform():
     # the positive part's LapM overflows to inf; max(1, nan) would certify rho = 1
-    overflowing = SignedCoefficientFunction(
-        CoefficientFunction(deltas=((1.0, 1e308), (2.0, 1e308))),
-        CoefficientFunction(deltas=((0.5, 1.0),)),
-    )
     with pytest.raises(IllPosedTransformError, match="not finite"):
-        rho_estimate(overflowing, DEFAULT_RHO_GRID)
+        SignedCoefficientFunction(
+            CoefficientFunction(deltas=((1.0, 1e308), (2.0, 1e308))),
+            CoefficientFunction(deltas=((0.5, 1.0),)),
+        )
 
 
 def test_signed_function_disjoint_support():
@@ -348,11 +342,11 @@ def test_measured_function_of_hard_capping_is_signed():
     # cap1approx as given; capT through the stable three-point function, so
     # capT=1 is the stable cap1approx itself
     stable = "cap1approx=A:{A:g},b1:{b1:g},b2:{b2:g}".format(**THREE_POINT_STABLE)
-    assert measured_function(stable) == cap1_approximation("three_point", **THREE_POINT_STABLE)
+    assert measured_function(stable) == cap1_approximation(**THREE_POINT_STABLE)
     tight = "cap1approx=A:{A:g},b1:{b1:g},b2:{b2:g}".format(**THREE_POINT_TIGHT)
-    assert measured_function(tight) == cap1_approximation("three_point", **THREE_POINT_TIGHT)
+    assert measured_function(tight) == cap1_approximation(**THREE_POINT_TIGHT)
     capped = capping_transform("capT=5")
-    assert measured_function("capT=5") == lift_cap1_to_f(capped, cap1_approximation("three_point", **THREE_POINT_STABLE))
+    assert measured_function("capT=5") == lift_cap1_to_f(capped, cap1_approximation(**THREE_POINT_STABLE))
     assert measured_function("capT=1") == measured_function(stable)
 
 
@@ -369,7 +363,7 @@ def test_distinct_and_sum_have_no_measured_function(text):
 def test_lift_single_delta_rescales():
     # a single-point capping transform just rescales the approximation:
     # masses times T, locations divided by T
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     ct = capping_transform(StatisticSpec("cap", {"T": 5.0}))
     lifted = lift_cap1_to_f(ct, tp)
     for (loc, mass), (loc0, mass0) in zip(lifted.plus.deltas, tp.plus.deltas):
@@ -385,7 +379,7 @@ def test_lift_single_delta_rescales():
 
 
 def test_lift_continuous_capping_transform():
-    tp = cap1_approximation("three_point", **THREE_POINT_TIGHT)
+    tp = cap1_approximation(**THREE_POINT_TIGHT)
     ct = capping_transform(StatisticSpec("softcap", {"T": 1.0}))
     lifted = lift_cap1_to_f(ct, tp)
     grid = np.logspace(-3, 3, 25)
@@ -396,7 +390,7 @@ def test_lift_continuous_capping_transform():
 
 
 def test_lift_rejects():
-    tp = cap1_approximation("three_point", **THREE_POINT_STABLE)
+    tp = cap1_approximation(**THREE_POINT_STABLE)
     with pytest.raises(UnsupportedStatisticError):
         lift_cap1_to_f(capping_transform(StatisticSpec("sum")), tp)
     continuous_alpha = SignedCoefficientFunction(
