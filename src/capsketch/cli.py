@@ -197,7 +197,7 @@ def _cmd_build(args) -> int:
     except ValueError:
         raise ParseError(f"--r must be 'auto' or an integer, got {args.r!r}") from None
     k = ceil(args.epsilon**-2) if args.k is None else args.k
-    fields = (("--r", r, 1, 32), ("--k", k, 1, 32), ("--seed", args.seed, 0, 64), ("--ordinal-base", args.ordinal_base, 0, 64))
+    fields = (("--r", r, 1, 32), ("--k", k, 2, 32), ("--seed", args.seed, 0, 64), ("--ordinal-base", args.ordinal_base, 0, 64))
     for name, value, low, bits in fields:  # the header's field widths
         if not low <= value < 2**bits:
             raise ParseError(f"{name} must lie in [{low}, 2**{bits}), got {value}")
@@ -274,8 +274,8 @@ def _cmd_bench(args) -> int:
     # options that would stop the run or fill it with nan exit 2 before any work
     checks = [("--alpha", a, 0.0 < a < inf, "positive and finite") for a in args.alpha]
     checks += [("--T", T, 0.0 < T < inf and 1.0 / T < inf, "positive and finite with a finite reciprocal") for T in args.T]
-    counts = (("--n", [args.n]), ("--r", args.r), ("--k", [args.k]), ("--reps", [args.reps]), ("--n-keys", [args.n_keys]))
-    checks += [(name, v, v >= 1, ">= 1") for name, values in counts for v in values]
+    counts = (("--n", [args.n], 1), ("--r", args.r, 1), ("--k", [args.k], 2), ("--reps", [args.reps], 1), ("--n-keys", [args.n_keys], 1))
+    checks += [(name, v, v >= low, f">= {low}") for name, values, low in counts for v in values]
     for name, value, ok, domain in checks:
         if not ok:
             raise ParseError(f"{name} must be {domain}, got {value}")

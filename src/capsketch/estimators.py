@@ -23,9 +23,9 @@ one, or for a signed pipeline two (the positive and the negative part).
 ``to_bytes`` writes a sketch file; ``from_sections``/``from_bytes`` read one,
 given t or the coefficient function, and refuse with ``ParseError`` values no
 build writes: draws or values outside their sketch's domain, a negative sum,
-sidelined keys that are not the distinct, (draw, outkey)-ordered set a build
-or merge leaves, or an element count that does not fit the sum and the
-number of entries.
+sidelined records that the sketches' bottom-k rule (``_bottom_k``) does not
+keep whole, or an element count that does not fit the sum and the number of
+entries.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .core import MIN_EPSILON, Element, ElementValidationError, IncompatibleSketchError, ParseError, hash_key
 from .mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from .sketchfile import ENTRY, SketchFileHeader, pack, records, unpack
-from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter
+from .sketches import AllThresholdSketch, DistinctCounter, MaxDistinctSketch, SumCounter, _bottom_k
 from .transforms import CoefficientFunction, SignedCoefficientFunction
 
 __all__ = [
@@ -54,32 +54,20 @@ __all__ = [
 _LOW16 = np.uint64(0xFFFF)
 
 
-def _lookup(pool: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(found, index): whether each key is in the small array ``pool`` and
-    where. A table over the low 16 bits rules out most keys in one gather,
-    so only the few that share low bits with a pool key are searched."""
+def _lookup(pool: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in the small array ``pool``. A table over the low
+    16 bits rules out most keys in one gather, so only the few that share low
+    bits with a pool key are searched."""
     found = np.zeros(len(keys), dtype=bool)
-    index = np.zeros(len(keys), dtype=np.intp)
     if pool.size == 0:
-        return found, index
+        return found
     table = np.zeros(1 << 16, dtype=bool)
     table[(pool & _LOW16).astype(np.intp)] = True
     maybe = np.flatnonzero(table[(keys & _LOW16).astype(np.intp)])
     order = np.argsort(pool)
     at = order[np.minimum(np.searchsorted(pool[order], keys[maybe]), len(pool) - 1)]
     found[maybe] = pool[at] == keys[maybe]
-    index[maybe] = at
-    return found, index
-
-
-def _smallest(keys: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the m smallest entries in (y, key) order."""
-    if len(ys) > m:
-        cut = np.partition(ys, m - 1)[m - 1]
-        idx = np.flatnonzero(ys <= cut)
-    else:
-        idx = np.arange(len(ys))
-    return idx[np.lexsort((keys[idx], ys[idx]))][:m]
+    return found
 
 
 class _Pipeline:
@@ -105,6 +93,8 @@ class _Pipeline:
             raise ValueError(f"error target must be in [{MIN_EPSILON:g}, 1), got {epsilon}")
         if not r >= 1:
             raise ValueError(f"replication r must be >= 1, got {r}")
+        if not k >= 2:
+            raise ValueError(f"sketch size k must be >= 2, since every bottom-k estimate is (k-1)/..., got {k}")
         self.r = int(r)
         self.epsilon = float(epsilon)
         self.k = int(k)
@@ -299,23 +289,14 @@ class CombinationPipeline(_Pipeline):
     ingest_batch = _Pipeline.ingest_batch
 
     def _take(self, outkeys: np.ndarray, ys: np.ndarray) -> None:
-        """Sideline the ell smallest (draw, outkey) of the sidelined keys and
-        the given distinct outkeys, each key at its smallest draw, and feed
-        every other key to each max-distinct sketch at its draw's tail value."""
-        if len(outkeys) == 0:
-            return
-        side_ys = self.sidelined_draws.copy()
-        hit, pos = _lookup(self.sidelined_keys, outkeys)
-        if hit.any():
-            np.minimum.at(side_ys, pos[hit], ys[hit])
-            outkeys, ys = outkeys[~hit], ys[~hit]
-        keys, draws = np.concatenate([self.sidelined_keys, outkeys]), np.concatenate([side_ys, ys])
-        chosen = _smallest(keys, draws, self.ell)
+        """Sideline ``_bottom_k`` (base = draw, m = 1) of the sidelined records
+        and the given (outkey, draw) entries, and feed every entry of any other
+        key to each max-distinct sketch at its draw's tail value; a key fed
+        twice keeps the larger value, which is its smaller draw's."""
+        keys, draws = np.concatenate([self.sidelined_keys, outkeys]), np.concatenate([self.sidelined_draws, ys])
+        chosen = _bottom_k(keys, draws, np.broadcast_to(1.0, draws.shape), self.ell)
         self.sidelined_keys, self.sidelined_draws = keys[chosen], draws[chosen]
-        if len(chosen) == len(keys):
-            return
-        rest = np.ones(len(keys), dtype=bool)
-        rest[chosen] = False
+        rest = ~_lookup(self.sidelined_keys, keys)
         keys, draws = keys[rest], draws[rest]
         for f, sketch in zip(self.measured, self.max_sketches):
             vals = np.asarray(f.tail(draws), dtype=np.float64)
@@ -324,16 +305,13 @@ class CombinationPipeline(_Pipeline):
                 sketch.update_batch(keys[keep], vals[keep])
 
     def merge(self, *others: "CombinationPipeline") -> "CombinationPipeline":
-        """Pure merge: each max-distinct sketch merged, then the union of the
-        sidelined keys, each at its smallest draw, taken once; the result
-        does not depend on the order of the inputs."""
+        """Pure merge: each max-distinct sketch merged, then the other inputs'
+        sidelined records taken as a batch; the result does not depend on the
+        order of the inputs."""
         out = self._merged(others, "a")
         out.max_sketches = [s.merge(*rest) for s, *rest in zip(self.max_sketches, *(p.max_sketches for p in others))]
-        keys = np.concatenate([p.sidelined_keys for p in (self, *others)])
-        draws = np.concatenate([p.sidelined_draws for p in (self, *others)])
-        order = np.argsort(draws)
-        at = order[np.unique(keys[order], return_index=True)[1]]  # each key at its smallest draw
-        out._take(keys[at], draws[at])
+        if others:
+            out._take(np.concatenate([p.sidelined_keys for p in others]), np.concatenate([p.sidelined_draws for p in others]))
         return out
 
     def tau(self) -> float:
@@ -359,19 +337,17 @@ class CombinationPipeline(_Pipeline):
         return [side, *(s.to_bytes() for s in self.max_sketches)]
 
     def _load_sketches(self, side: bytes, *entries: bytes) -> int:
-        """A build or merge leaves distinct sidelined keys in (draw, outkey)
-        order: at most ell, ell whenever a max-distinct sketch holds an entry,
-        and at least one once an element is counted. Others raise ParseError."""
+        """A build or merge leaves sidelined records ``_bottom_k`` keeps whole:
+        at most ell distinct keys in (draw, outkey) order, ell whenever a max-distinct
+        sketch holds an entry, and one or more once an element is counted."""
         rec = records(side, ENTRY)
         # sidelined draws lie where full-range ys do, in [0, inf)
         keys, draws = rec["outkey"], AllThresholdSketch._stored(rec["value"])
         self.max_sketches = [MaxDistinctSketch.from_bytes(e, self.k, self.seed) for e in entries]
-        ordered = (draws[1:] > draws[:-1]) | ((draws[1:] == draws[:-1]) & (keys[1:] > keys[:-1]))
-        by_key = np.sort(keys)  # sorted neighbours: about a fifth of np.unique's time at 300 keys
-        if not ordered.all() or (by_key[1:] == by_key[:-1]).any():
-            raise ParseError("sidelined outkeys must be distinct and in (draw, outkey) order")
         n, held = len(keys), max(len(s) for s in self.max_sketches)
-        if n > self.ell or (n < self.ell and held) or (n == 0 and self.count):
+        if not np.array_equal(_bottom_k(keys, draws, np.broadcast_to(1.0, draws.shape), self.ell), np.arange(n)):
+            raise ParseError(f"sidelined outkeys must be distinct, in (draw, outkey) order and at most ell={self.ell}")
+        if (n < self.ell and held) or (n == 0 and self.count):
             raise ParseError(f"{n} sidelined outkeys with ell={self.ell}, {held} max-distinct entries and {self.count} elements")
         self.sidelined_keys, self.sidelined_draws = keys, draws
         return max(n, held)

@@ -80,9 +80,10 @@ def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> n
     """Indices of the entries a max-distinct sketch of size k retains, in
     (base/m, outkey) order.
 
-    An outkey may repeat: it counts once, at its largest value m. Of those
-    keys the k smallest (base/m, outkey) are kept. A distinct counter is the
-    case m = 1.
+    An outkey may repeat: it counts once, at its smallest rank (in a sketch,
+    where its base is fixed, its largest value m; on a tie, the larger m). Of
+    those keys the k smallest (base/m, outkey) are kept. A distinct counter is
+    the case m = 1, and a combination pipeline's sidelined set base = draw, m = 1.
 
     A stored sketch, at most k distinct outkeys in strictly ascending (base/m,
     outkey) order, is that answer as it stands. An outkey stored at two values
@@ -92,8 +93,8 @@ def _bottom_k(okeys: np.ndarray, bases: np.ndarray, ms: np.ndarray, k: int) -> n
     if len(okeys) <= k and _ascending(okeys, ranks) and np.diff(np.sort(okeys)).all():
         return np.arange(len(okeys))
     idx = np.flatnonzero(_rank_cut(okeys, ranks, k))
-    # each key once, at its largest value: first in (key, -value) order
-    idx = idx[np.lexsort((-ms[idx], okeys[idx]))]
+    # each key once, at its smallest rank: first in (key, rank, -value) order
+    idx = idx[np.lexsort((-ms[idx], ranks[idx], okeys[idx]))]
     keys = okeys[idx]
     first = np.ones(len(idx), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -195,7 +196,8 @@ class _BottomK:
     ranks and one value per key, in the order ``to_bytes`` writes them.
 
     Every change concatenates entries to the stored ones and applies
-    :meth:`_retain`, the sketch's retention rule.
+    :meth:`_retain`, the sketch's retention rule. Retention holds at any
+    k >= 1, but a full sketch estimates (k-1)/..., 0 at k = 1: estimates need k >= 2.
     """
 
     def __init__(self, k: int, seed: int = 0):

@@ -65,7 +65,7 @@ def unpack(data: bytes) -> tuple[SketchFileHeader, list[bytes]]:
     if zlib.crc32(data[_START:], zlib.crc32(data[: _HEAD.size])) != int.from_bytes(data[_HEAD.size : _START], "little"):
         raise ParseError("checksum mismatch")
     desc = data[_START : _START + dlen]
-    if tag >= len(MODES) or not MIN_EPSILON <= epsilon < 1.0 or r < 1 or k < 1 or not desc.isascii():
+    if tag >= len(MODES) or not MIN_EPSILON <= epsilon < 1.0 or r < 1 or k < 2 or not desc.isascii():
         raise ParseError(f"invalid header (mode {tag}, epsilon {epsilon}, r {r}, k {k}, statistic {desc!r})")
     header = SketchFileHeader(list(MODES)[tag], desc.decode("ascii"), epsilon, r, k, seed, base, count)
     sections, off = [], _START + dlen

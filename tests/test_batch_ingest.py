@@ -21,9 +21,10 @@ from capsketch import (
 from capsketch import estimators, mappers
 from capsketch.cli import main
 from capsketch.core import base_ranks, hash_key, hash_keys, outkey_block
-from capsketch.estimators import _lookup, _smallest
+from capsketch.estimators import _lookup
 from capsketch.mappers import MapperConfig, full_range_batch, point_outkeys_batch
 from capsketch.oracle import zipf_ranks
+from capsketch.sketches import _bottom_k
 from capsketch.sketchfile import unpack
 from capsketch.transforms import inverse_transform, measured_function, parse_statistic
 from reference import map_full_range, map_point
@@ -200,7 +201,7 @@ def test_full_range_batch_one_minimum_per_key_replica(small_chunks):
     stream=st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.05, 0.3, 1.0, 2.5, 40.0])), max_size=60),
     cuts=st.lists(st.integers(0, 60), max_size=4),
     r=st.integers(1, 64),
-    k=st.integers(1, 32),
+    k=st.integers(2, 32),
     t=st.sampled_from([0.0, 1e-6, 0.2, 3.0, np.inf]),
     prefill=st.lists(st.integers(0, 2**64 - 1), max_size=80),
     chunk_cells=st.sampled_from([1, 61, 1 << 16]),
@@ -305,10 +306,17 @@ def test_sketch_batches_reject_what_scalar_updates_reject():
 
 @settings(max_examples=60, deadline=None)
 @given(entries=entry_lists, m=st.integers(1, 30))
-def test_smallest_breaks_ties_by_key(entries, m):
+def test_sidelined_bottom_k_keeps_each_key_at_its_smallest_draw(entries, m):
+    """The sidelined set's rule, ``_bottom_k`` at base = draw and m = 1: each
+    key once, at its smallest draw, then the first m in (draw, key) order."""
     keys = np.array([o for o, _ in entries], dtype=np.uint64)
     ys = np.array([y for _, y in entries])
-    assert _smallest(keys, ys, m).tolist() == np.lexsort((keys, ys))[:m].tolist()
+    smallest = {}
+    for o, y in entries:
+        smallest[o] = min(y, smallest.get(o, np.inf))
+    expected = sorted((y, o) for o, y in smallest.items())[:m]
+    chosen = _bottom_k(keys, ys, np.ones(len(ys)), m)
+    assert [(y, o) for o, y in zip(keys[chosen].tolist(), ys[chosen].tolist())] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,9 +326,7 @@ def test_lookup_finds_pool_members(pool, extra):
     # keys sharing the low 16 bits of a pool key but not the key itself
     near = [(p ^ (1 << 40)) for p in pool]
     keys = np.array([*pool, *extra, *near], dtype=np.uint64)
-    found, index = _lookup(pool_arr, keys)
-    assert found.tolist() == [k in pool for k in keys.tolist()]
-    assert (pool_arr[index[found]] == keys[found]).all()
+    assert _lookup(pool_arr, keys).tolist() == [k in pool for k in keys.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from capsketch import PointPipeline, cli, sketches
@@ -185,6 +186,13 @@ def test_merged_count_past_the_last_u64_exits_3(capsys, tmp_path, toy_tsv):
     assert not (tmp_path / "m.fsk").exists()
 
 
+def _fresh_record_past(rec):
+    """A record of an outkey not in ``rec`` at a draw above its last: appended,
+    the section holds ell + 1 distinct records in (draw, outkey) order."""
+    fresh = np.setdiff1d(np.arange(len(rec) + 1, dtype=np.uint64), rec["outkey"])[0]
+    return np.array([(fresh, rec["value"][-1] + 1.0)], dtype=ENTRY)
+
+
 # (route, section, change): the first record of a section given a value, a
 # section replaced, or a section rewritten; the files keep a valid CRC
 UNBUILDABLE = [
@@ -207,6 +215,7 @@ UNBUILDABLE = [
     ("combination", 0, lambda side: records(side, ENTRY)[::-1].tobytes()),
     ("combination", 0, lambda side: side[: ENTRY.itemsize]),
     ("signed", 0, lambda side: records(side, ENTRY)[::-1].tobytes()),
+    ("combination", 0, lambda side: side + _fresh_record_past(records(side, ENTRY)).tobytes()),
 ]
 
 
@@ -216,7 +225,8 @@ UNBUILDABLE = [
     ids=["y-nan", "y-negative", "y-inf", "sidelined-nan", "sidelined-negative", "sidelined-inf", "max-distinct-zero",
          "max-distinct-nan", "max-distinct-inf", "point-sum-negative", "fullrange-sum-negative",
          "combination-sum-negative", "signed-plus-max-distinct-zero", "signed-minus-max-distinct-zero", "sidelined-twice",
-         "sidelined-empty", "sidelined-reversed", "sidelined-first-only", "signed-sidelined-reversed"],
+         "sidelined-empty", "sidelined-reversed", "sidelined-first-only", "signed-sidelined-reversed",
+         "sidelined-past-ell"],
 )
 def test_values_no_build_produces_exit_2(capsys, tmp_path, route, section, change):
     mode, stat = ROUTES[route]
@@ -278,6 +288,25 @@ def test_forged_element_count_exits_2(capsys, tmp_path, route, count):
         assert (code, stdout) == (2, ""), argv
         assert err.startswith(f"error: {forged}: a count of ") and err.count("\n") == 1
     assert not (tmp_path / "m.fsk").exists()
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_header_with_k_below_two_exits_2(capsys, tmp_path, route):
+    # every bottom-k estimate is (k-1)/..., 0 at k = 1, so a header forged to
+    # k = 1 (the file keeps a valid CRC) is refused rather than answered
+    mode, stat = ROUTES[route]
+    tsv = write_tsv(tmp_path / "in.tsv", [b"k%d\t%d" % (i % 50, 1 + i % 3) for i in range(300)])
+    intact, forged, merged = (str(tmp_path / name) for name in ("intact.fsk", "forged.fsk", "m.fsk"))
+    argv = ["build", tsv, "--mode", mode, "--stat", stat, "--r", "3", "--k", "8", "--epsilon", "0.5", "-o", intact]
+    assert run(capsys, *argv)[0] == 0
+    header, sections = read_sketch_file(intact)
+    with open(forged, "wb") as fh:
+        fh.write(pack(dataclasses.replace(header, k=1), sections))
+    for argv in (["estimate", forged], ["merge", intact, forged, "-o", merged]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith(f"error: {forged}: invalid header") and err.count("\n") == 1
+    assert not os.path.exists(merged)
 
 
 @pytest.mark.parametrize(
@@ -515,6 +544,7 @@ def test_parse_error_messages(capsys, tmp_path, rows, message):
         ("--seed", str(2**64)),
         ("--k", str(2**32)),
         ("--r", "many"),
+        ("--k", "1"),
     ],
 )
 def test_out_of_range_build_options_exit_2(capsys, tmp_path, option):
@@ -708,6 +738,7 @@ def test_bench_command(capsys, tmp_path):
         ("--n-keys", "0"),
         ("--reps", "0"),
         ("--n", "0"),
+        ("--k", "1"),
     ],
 )
 def test_out_of_range_bench_options_exit_2(capsys, tmp_path, option):

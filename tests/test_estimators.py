@@ -504,6 +504,19 @@ def test_every_pipeline_refuses_replication_below_one(r):
             make()
 
 
+@pytest.mark.parametrize("k", [1, 0])
+def test_every_pipeline_refuses_sketch_size_below_two(k):
+    # every bottom-k estimate is (k-1)/..., which reads 0 at k = 1
+    for make in (
+        lambda: PointPipeline(1.0, r=3, epsilon=0.5, k=k),
+        lambda: CombinationPipeline(inverse_transform("sqrt"), r=3, epsilon=0.5, k=k),
+        lambda: SignedCombinationPipeline(cap1_approximation(**THREE_POINT_STABLE), r=3, epsilon=0.5, k=k),
+        lambda: FullRangePipeline(r=3, epsilon=0.5, k=k),
+    ):
+        with pytest.raises(ValueError, match="sketch size k"):
+            make()
+
+
 def test_pipeline_serialization_round_trips(toy_elements):
     k64, vals = _hash_elements(toy_elements)
     p = PointPipeline(t=0.5, r=3, epsilon=0.2, k=32, seed=1)
@@ -538,7 +551,7 @@ def test_counted_file_without_sidelined_keys_is_refused():
     signed=st.booleans(),
     epsilon=st.sampled_from([0.5, 0.7, 0.9]),
     r=st.integers(1, 5),
-    k=st.integers(1, 12),
+    k=st.integers(2, 12),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_written_combination_file_reads_back(data, signed, epsilon, r, k, seed):
